@@ -197,20 +197,12 @@ def uncertainty_decomposition(q_w, priors, x_star, s_w=100, s_y=500, seed=0):
     entropies come from the same k-NN estimator so the pieces are
     comparable. Returns {"total", "aleatoric", "epistemic"}.
     """
-    rng = np.random.default_rng(seed)
     x_star = np.asarray(x_star, dtype=np.float64).reshape(1, -1)
-    k = q_w.input_dim_z
-    l = q_w.output_dim
     x_rep = np.repeat(x_star, s_y, axis=0)
-    per_w = np.empty(s_w)
-    batches = []
-    for i in range(s_w):
-        f = q_w.draw_function(rng)
-        z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(s_y, k)) if k > 0 else None
-        ys = f(x_rep, z) + rng.normal(0.0, np.sqrt(priors.sigma2_eps), size=(s_y, l))
-        per_w[i] = knn_entropy(ys)
-        batches.append(ys)
-    total = knn_entropy(np.concatenate(batches, axis=0))
+    # (s_y, s_w, L): column i holds the s_y outputs of weight draw i
+    ys = predictive_sample_matrix(q_w, priors, x_rep, s_w, seed)
+    per_w = [knn_entropy(ys[:, i, :]) for i in range(s_w)]
+    total = knn_entropy(ys.transpose(1, 0, 2).reshape(s_w * s_y, -1))
     aleatoric = float(np.mean(per_w))
     return {"total": total, "aleatoric": aleatoric, "epistemic": total - aleatoric}
 

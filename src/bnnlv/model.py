@@ -46,19 +46,19 @@ def _scalar(x):
     return x if isinstance(x, dc.Node) else float(x)
 
 
-def log_likelihood(arch, w, Z, data, sigma2_eps):
-    """Gaussian log-likelihood of all rows of ``data`` under weights ``w``.
+def log_likelihood(arch, w, Z, x, y, sigma2_eps):
+    """Gaussian log-likelihood of the rows of (x, y) under weights ``w``.
 
-    ``Z`` rows align with data rows; pass None for architectures without
-    latent inputs. Returns nats (a Node when w or Z is a Node).
+    ``Z`` rows align with the rows of ``x``; pass None for architectures
+    without latent inputs. Returns nats (a Node when w or Z is a Node).
     """
     if sigma2_eps <= 0.0:
         raise ValueError(f"sigma2_eps must be positive, got {sigma2_eps}")
-    n, l = data.x.shape[0], data.y.shape[1]
+    n, l = x.shape[0], y.shape[1]
     if n == 0:
         return 0.0
-    pred = dc.mlp_forward(arch, w, data.x, Z if arch.input_dim_z > 0 else None)
-    resid = dc.add(pred, -data.y)
+    pred = dc.mlp_forward(arch, w, x, Z if arch.input_dim_z > 0 else None)
+    resid = dc.add(pred, -y)
     ssq = dc.sum_(dc.mul(resid, resid))
     const = 0.5 * n * l * (LOG_2PI + np.log(sigma2_eps))
     return _scalar(dc.add(dc.mul(ssq, -0.5 / sigma2_eps), -const))
@@ -84,7 +84,7 @@ def log_prior_z(Z, sigma2_z):
 
 def log_joint(arch, w, Z, data, priors):
     """log p(Y, W, Z | X) = log-likelihood + weight prior + latent prior."""
-    ll = log_likelihood(arch, w, Z, data, priors.sigma2_eps)
+    ll = log_likelihood(arch, w, Z, data.x, data.y, priors.sigma2_eps)
     lw = log_prior_w(w, priors.sigma2_w)
     lz = log_prior_z(Z, priors.sigma2_z) if arch.input_dim_z > 0 else 0.0
     return _scalar(dc.add(dc.add(ll, lw), lz))

@@ -17,7 +17,7 @@ import numpy as np
 from . import diffcore as dc
 from . import vi as vi_mod
 from .diffcore import Architecture
-from .exceptions import ConfigError, DivergenceError
+from .exceptions import ConfigError
 from .model import log_joint
 
 # softened exponential: exact below the cap, linear continuation above it so
@@ -204,33 +204,25 @@ def fit_point_mlp(x, y, arch, learning_rate=0.01, epochs=2000, seed=0):
     Latent input columns, if the architecture has any, are clamped to zero.
     Returns the flat weight vector.
     """
-    from .train import adam_init, adam_step
+    from .train import TrainConfig, optimize
 
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(x.shape[0], -1)
     rng = np.random.default_rng(seed)
-    w = dc.xavier_normal_weights(arch, rng)
+    params = {"w": dc.xavier_normal_weights(arch, rng)}
     z0 = np.zeros((x.shape[0], arch.input_dim_z)) if arch.input_dim_z > 0 else None
-    state = adam_init([w])
-    last = np.inf
-    stall = 0
-    for _ in range(epochs):
-        leaf = dc.leaf(w)
-        pred = dc.mlp_forward(arch, leaf, x, z0)
-        resid = dc.add(pred, -y)
-        loss = dc.mean_(dc.mul(resid, resid))
-        dc.backward(loss)
-        (w,), state = adam_step([w], [leaf.grad], state, learning_rate)
-        cur = float(loss.value)
-        # plateau cutoff: no measurable progress for a long stretch
-        if abs(last - cur) <= 1e-12 * max(1.0, abs(cur)):
-            stall += 1
-            if stall >= 100:
-                break
-        else:
-            stall = 0
-        last = cur
-    return w
+
+    def mse(leaves):
+        resid = dc.add(dc.mlp_forward(arch, leaves["w"], x, z0), -y)
+        return dc.mean_(dc.mul(resid, resid))
+
+    # plateau cutoff: no measurable progress over a long stretch. The caller's
+    # stop settings are not used: at their tolerance a warm start ends early.
+    plateau = TrainConfig(
+        learning_rate=learning_rate, convergence_window=100, convergence_tol=1e-12
+    )
+    optimize(mse, params, plateau, epochs)
+    return params["w"]
 
 
 def warm_start(data, arch, opt_cfg, seed):
@@ -281,7 +273,7 @@ def map_estimate(data, priors, arch, init="random", opt_cfg=None, seed=0):
     ``init`` is "random" (layer-scaled weights, latents from the prior) or
     "ground_truth" (requires stored generative weights and latents).
     """
-    from .train import TrainConfig, adam_init, adam_step
+    from .train import TrainConfig, optimize
 
     opt_cfg = opt_cfg or TrainConfig()
     view = data.view("train")
@@ -299,30 +291,11 @@ def map_estimate(data, priors, arch, init="random", opt_cfg=None, seed=0):
     else:
         raise ConfigError(f"unknown map init {init!r}; use 'random' or 'ground_truth'")
 
-    state = adam_init([w, z])
-    history = []
-    window = opt_cfg.convergence_window
-    for step in range(opt_cfg.epochs):
-        w_leaf, z_leaf = dc.leaf(w), dc.leaf(z)
-        lj = log_joint(arch, w_leaf, z_leaf, view, priors)
-        value = float(lj.value)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"log joint became non-finite at step {step}",
-                history=np.array(history),
-                diagnostics={"step": step},
-            )
-        dc.backward(lj)
-        history.append(value)
-        grads = [
-            -(leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
-            for leaf in (w_leaf, z_leaf)
-        ]
-        (w, z), state = adam_step([w, z], grads, state, opt_cfg.learning_rate)
-        if len(history) > window:
-            prev, cur = history[-window - 1], history[-1]
-            if abs(cur - prev) <= opt_cfg.convergence_tol * max(1.0, abs(prev)):
-                break
-    final = float(log_joint(arch, w, z, view, priors))
-    history.append(final)
-    return MapResult(w=w, z=z, log_joint=final, history=np.array(history))
+    params = {"w": w, "z": z}
+    neg_lj = optimize(
+        lambda leaves: dc.neg(log_joint(arch, leaves["w"], leaves["z"], view, priors)),
+        params, opt_cfg, opt_cfg.epochs,
+    )
+    final = float(log_joint(arch, params["w"], params["z"], view, priors))
+    history = np.array([-v for v in neg_lj] + [final])
+    return MapResult(w=params["w"], z=params["z"], log_joint=final, history=history)

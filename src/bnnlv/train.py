@@ -29,9 +29,6 @@ class TrainConfig:
     epochs: int = 3000
     restarts: int = 10
     n_mc: int = 1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     warm_epochs: int = 2000
     init: str = "auto"
     variance_only_first: bool | None = None
@@ -50,6 +47,10 @@ class TrainConfig:
             raise ConfigError(f"unknown init scheme {self.init!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.convergence_window < 1:
+            raise ConfigError(f"convergence_window must be >= 1, got {self.convergence_window}")
+        if not self.convergence_tol >= 0.0:
+            raise ConfigError(f"convergence_tol must be non-negative, got {self.convergence_tol}")
 
 
 def adam_init(params):
@@ -82,6 +83,52 @@ def adam_step(params, grads, state, learning_rate, beta1=0.9, beta2=0.999, eps=1
         new_m.append(m)
         new_v.append(v)
     return new_params, {"t": t, "m": new_m, "v": new_v}
+
+
+def optimize(loss_fn, params, cfg, epochs):
+    """Minimize ``loss_fn`` over the named arrays in ``params`` by Adam.
+
+    Each epoch wraps every block of ``params`` in a fresh leaf, builds the
+    objective with ``loss_fn(leaves)``, backpropagates and takes one Adam
+    step at ``cfg.learning_rate``. The loop ends after ``epochs`` epochs, or
+    once the objective has moved by at most ``cfg.convergence_tol`` (relative
+    to max(1, |value|)) over the last ``cfg.convergence_window`` epochs.
+    ``params`` is updated in place; returns the per-epoch objective values.
+
+    Raises DivergenceError on a non-finite objective, or on a non-finite
+    gradient, naming the block.
+    """
+    names = list(params)
+    state = adam_init([params[k] for k in names])
+    window = cfg.convergence_window
+    values = []
+    for epoch in range(epochs):
+        leaves = {k: dc.leaf(params[k]) for k in names}
+        obj = loss_fn(leaves)
+        value = float(obj.value)
+        if not np.isfinite(value):
+            raise DivergenceError(f"objective became non-finite at epoch {epoch}",
+                                  history=values, diagnostics={"epoch": epoch})
+        dc.backward(obj)
+        values.append(value)
+        current = [params[k] for k in names]
+        grads = [leaves[k].grad if leaves[k].grad is not None else np.zeros_like(p)
+                 for k, p in zip(names, current)]
+        try:
+            stepped, state = adam_step(current, grads, state, cfg.learning_rate)
+        except DivergenceError as e:
+            block = names[e.diagnostics["param_index"]]
+            raise DivergenceError(
+                f"non-finite gradient in block {block} at epoch {epoch}",
+                history=values,
+                diagnostics={**e.diagnostics, "block": block, "epoch": epoch},
+            ) from e
+        params.update(zip(names, stepped))
+        if len(values) > window:
+            prev, cur = values[-window - 1], values[-1]
+            if abs(cur - prev) <= cfg.convergence_tol * max(1.0, abs(prev)):
+                break
+    return values
 
 
 def eb_update_sz(mu_z, var_z, alpha, beta):
@@ -240,72 +287,37 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
         variance_only = scheme in ("ground_truth", "map")
     phases = (["variance", "joint"] if variance_only else ["joint"])
 
-    params = q.params()
+    blocks = dict(zip(("mu_w", "rho_w", "mu_z", "rho_z"), q.params()))
     batch_rng = np.random.default_rng(int(rng.integers(0, 2**32)))
+    n = view.x.shape[0]
+
+    def objective(leaves):
+        nonlocal priors
+        # blocks the current phase does not train enter the graph as frozen leaves
+        leaves = {**{k: dc.leaf(v) for k, v in blocks.items() if k not in leaves}, **leaves}
+        if priors.eb_w:
+            sw = dc.softplus(leaves["rho_w"].value)
+            priors = replace(priors, sigma2_w=eb_update_sw(leaves["mu_w"].value, sw * sw, priors.ig_alpha, priors.ig_beta))
+        if priors.eb_z and arch.input_dim_z > 0:
+            sz = dc.softplus(leaves["rho_z"].value)
+            priors = replace(priors, sigma2_z=eb_update_sz(leaves["mu_z"].value, sz * sz, priors.ig_alpha, priors.ig_beta))
+        batch = None
+        if train_cfg.batch_size is not None and train_cfg.batch_size < n:
+            batch = batch_rng.choice(n, size=train_cfg.batch_size, replace=False)
+        obj, parts = ncai_mod.objective_graph(
+            arch, leaves, view.x, view.y, priors, cfg, train_cfg.n_mc,
+            int(epoch_seed.integers(0, 2**32)), batch=batch,
+        )
+        history.append(float(obj.value), parts, priors, phase)
+        return obj
+
     for phase in phases:
-        trainable = [1, 3] if phase == "variance" else [0, 1, 2, 3]
-        state = adam_init([params[i] for i in trainable])
-        for _ in range(train_cfg.epochs):
-            if priors.eb_w:
-                sw = dc.softplus(params[1])
-                priors = replace(priors, sigma2_w=eb_update_sw(params[0], sw * sw, priors.ig_alpha, priors.ig_beta))
-            if priors.eb_z and arch.input_dim_z > 0:
-                sz = dc.softplus(params[3])
-                priors = replace(priors, sigma2_z=eb_update_sz(params[2], sz * sz, priors.ig_alpha, priors.ig_beta))
+        trainable = ("rho_w", "rho_z") if phase == "variance" else tuple(blocks)
+        stepped = {k: blocks[k] for k in trainable}
+        optimize(objective, stepped, train_cfg, train_cfg.epochs)
+        blocks.update(stepped)
 
-            leaves = {
-                "mu_w": dc.leaf(params[0]),
-                "rho_w": dc.leaf(params[1]),
-                "mu_z": dc.leaf(params[2]),
-                "rho_z": dc.leaf(params[3]),
-            }
-            batch = None
-            if train_cfg.batch_size is not None and train_cfg.batch_size < view.x.shape[0]:
-                batch = batch_rng.choice(view.x.shape[0], size=train_cfg.batch_size, replace=False)
-            obj, parts = ncai_mod.objective_graph(
-                arch,
-                leaves,
-                view.x,
-                view.y,
-                priors,
-                cfg,
-                train_cfg.n_mc,
-                int(epoch_seed.integers(0, 2**32)),
-                batch=batch,
-            )
-            value = float(obj.value)
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"objective became non-finite at epoch {len(history)}", history=history
-                )
-            dc.backward(obj)
-            history.append(value, parts, priors, phase)
-
-            keys = ("mu_w", "rho_w", "mu_z", "rho_z")
-            grads = []
-            for i in trainable:
-                g = leaves[keys[i]].grad
-                grads.append(g if g is not None else np.zeros_like(params[i]))
-            stepped, state = adam_step(
-                [params[i] for i in trainable],
-                grads,
-                state,
-                train_cfg.learning_rate,
-                train_cfg.beta1,
-                train_cfg.beta2,
-                train_cfg.adam_eps,
-            )
-            for i, p in zip(trainable, stepped):
-                params[i] = p
-
-            w = train_cfg.convergence_window
-            obj_trace = history.objective
-            if len(obj_trace) > w and history.phase[-w - 1] == phase:
-                prev, cur = obj_trace[-w - 1], obj_trace[-1]
-                if abs(cur - prev) <= train_cfg.convergence_tol * max(1.0, abs(prev)):
-                    break
-
-    q = vi_mod.MeanFieldPosterior(arch, params[0], params[1], params[2], params[3])
+    q = vi_mod.MeanFieldPosterior(arch, **blocks)
     return q, history
 
 

@@ -15,17 +15,7 @@ from scipy.special import logsumexp
 from . import diffcore as dc
 from .diffcore import Architecture
 from .exceptions import ConfigError
-from .model import LOG_2PI
-
-
-def _gaussian_ll_graph(arch, w, Z, x, y, sigma2_eps):
-    """Gaussian log-likelihood over raw arrays; Node-aware."""
-    n, l = x.shape[0], y.shape[1]
-    pred = dc.mlp_forward(arch, w, x, Z if arch.input_dim_z > 0 else None)
-    resid = dc.add(pred, -y)
-    ssq = dc.sum_(dc.mul(resid, resid))
-    const = 0.5 * n * l * (LOG_2PI + np.log(sigma2_eps))
-    return dc.add(dc.mul(ssq, -0.5 / sigma2_eps), -const)
+from .model import log_likelihood
 
 
 @dataclass
@@ -203,7 +193,7 @@ def elbo_graph(arch, leaves, x, y, priors, n_mc, seed, batch=None):
             Z = dc.gaussian_reparam(mu_zb, rho_zb, eps_z)
         else:
             Z = None
-        ll = _gaussian_ll_graph(arch, w, Z, xb, yb, priors.sigma2_eps)
+        ll = log_likelihood(arch, w, Z, xb, yb, priors.sigma2_eps)
         ll_sum = ll if ll_sum is None else dc.add(ll_sum, ll)
     ell = dc.mul(ll_sum, scale / n_mc)
 

@@ -183,6 +183,16 @@ class TestTrain:
         code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "line", ["convergence_window = 0", "convergence_window = -1", "convergence_tol = -1e-6"]
+    )
+    def test_bad_stop_rule_is_config_error(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "stop.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="BNNLV_BBB") + line + "\n")
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "o")])

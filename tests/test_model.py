@@ -38,7 +38,7 @@ class TestLogLikelihood:
         data = _single_row(0.0, 0.0)
         arch = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(1,), output_dim=1)
         w = np.zeros(arch.param_count)
-        got = log_likelihood(arch, w, np.zeros((1, 0)), data, 0.1)
+        got = log_likelihood(arch, w, np.zeros((1, 0)), data.x, data.y, 0.1)
         assert got == pytest.approx(-0.5 * np.log(2.0 * np.pi * 0.1), abs=1e-12)
 
     def test_matches_per_point_summation(self):
@@ -55,7 +55,7 @@ class TestLogLikelihood:
                 -0.5 * (view.y[n, 0] - mu[0, 0]) ** 2 / 0.3
                 - 0.5 * np.log(2.0 * np.pi * 0.3)
             )
-        got = log_likelihood(arch, w, Z, data, 0.3)
+        got = log_likelihood(arch, w, Z, data.x, data.y, 0.3)
         assert got == pytest.approx(total, abs=1e-12)
 
     def test_invariant_under_node_transform(self):
@@ -67,15 +67,15 @@ class TestLogLikelihood:
             z = rng.normal(0.0, 0.1, size=(20, 1))
             c = rng.uniform(0.5, 1.0)
             w_hat, z_hat = node_transform(w, x, z, c)
-            a = log_likelihood(ONE_NODE, _one_node_w(w), z, data, 0.1)
-            b = log_likelihood(ONE_NODE, _one_node_w(float(w_hat)), z_hat, data, 0.1)
+            a = log_likelihood(ONE_NODE, _one_node_w(w), z, data.x, data.y, 0.1)
+            b = log_likelihood(ONE_NODE, _one_node_w(float(w_hat)), z_hat, data.x, data.y, 0.1)
             assert abs(a - b) <= 1e-9
 
     def test_rejects_bad_variance(self):
         data = _single_row(0.0, 0.0)
         arch = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(1,), output_dim=1)
         with pytest.raises(ValueError):
-            log_likelihood(arch, np.zeros(arch.param_count), np.zeros((1, 0)), data, 0.0)
+            log_likelihood(arch, np.zeros(arch.param_count), np.zeros((1, 0)), data.x, data.y, 0.0)
 
 
 class TestPriors:
@@ -97,7 +97,7 @@ class TestPriors:
         Z = rng.standard_normal((12, 1))
         priors = PriorConfig(sigma2_w=2.0, sigma2_z=0.5, sigma2_eps=0.1)
         expected = (
-            log_likelihood(arch, w, Z, data, 0.1)
+            log_likelihood(arch, w, Z, data.x, data.y, 0.1)
             + log_prior_w(w, 2.0)
             + log_prior_z(Z, 0.5)
         )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from bnnlv import diffcore as dc
 from bnnlv.data import DataSet, gen_synthetic
 from bnnlv.diffcore import Architecture, mlp_forward_np
 from bnnlv.exceptions import ConfigError, DivergenceError
@@ -13,6 +14,7 @@ from bnnlv.train import (
     adam_step,
     eb_update_sw,
     eb_update_sz,
+    optimize,
     restart_select,
     train,
     train_restarts,
@@ -64,6 +66,49 @@ class TestAdam:
         with pytest.raises(DivergenceError) as err:
             adam_step([w, w], [np.zeros(1), np.array([np.nan])], state, 0.1)
         assert err.value.diagnostics["param_index"] == 1
+
+
+class TestOptimize:
+    def test_window_rule_stops_flat_objective(self):
+        # a flat objective converges once a full window of epochs has passed
+        params = {"a": np.zeros(2)}
+        cfg = TrainConfig(convergence_window=7, convergence_tol=0.0)
+
+        def flat(leaves):
+            return dc.add(dc.mul(dc.sum_(leaves["a"]), 0.0), 1.0)
+
+        values = optimize(flat, params, cfg, 100)
+        assert len(values) == 8
+
+    def test_nonfinite_gradient_names_block(self):
+        # sqrt at 0 is finite but its derivative is not
+        params = {"a": np.ones(2), "b": np.zeros(3)}
+
+        def loss(leaves):
+            a, b = leaves["a"], leaves["b"]
+            return dc.add(dc.sum_(dc.mul(a, a)), dc.sum_(dc.power(b, 0.5)))
+
+        with np.errstate(divide="ignore"), pytest.raises(DivergenceError, match="block b") as err:
+            optimize(loss, params, TrainConfig(), 10)
+        assert err.value.diagnostics["block"] == "b"
+        assert err.value.diagnostics["param_index"] == 1
+        assert err.value.diagnostics["epoch"] == 0
+        assert err.value.history == [2.0]
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"convergence_window": 0},
+            {"convergence_window": -5},
+            {"convergence_tol": -1e-9},
+            {"convergence_tol": float("nan")},
+        ],
+    )
+    def test_rejects_bad_stop_rule(self, kwargs):
+        with pytest.raises(ConfigError, match="convergence"):
+            TrainConfig(**kwargs)
 
 
 class TestEbUpdates:
