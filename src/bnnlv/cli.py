@@ -325,11 +325,11 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _run_training(cfg, seed, jobs, out_dir):
+def _run_training(cfg, seed, out_dir):
     """Train per config, write the full run directory, return the result dict."""
     data, arch, priors, ncai_cfg, train_cfg, method = build_experiment(cfg, seed)
     q, fin_priors, histories, best = train_restarts(
-        data, arch, priors, ncai_cfg, train_cfg, method, seed, jobs=jobs
+        data, arch, priors, ncai_cfg, train_cfg, method, seed
     )
     s_eval = int(cfg.get("s_eval", 2000))
     report = compute_report(q, data, fin_priors, method=method, s=s_eval, seed=seed)
@@ -404,13 +404,7 @@ def cmd_gen_data(args):
         _write_json(
             os.path.join(out, "ground_truth.json"),
             {
-                "arch": {
-                    "input_dim_x": data.gt_arch.input_dim_x,
-                    "input_dim_z": data.gt_arch.input_dim_z,
-                    "hidden_layers": list(data.gt_arch.hidden_layers),
-                    "output_dim": data.gt_arch.output_dim,
-                    "leaky_slope": data.gt_arch.leaky_slope,
-                },
+                "arch": asdict(data.gt_arch),
                 "w": data.w_true.tolist(),
                 "sigma2_eps": data.sigma2_eps_true,
                 "sigma2_z": data.sigma2_z_true,
@@ -433,7 +427,7 @@ def cmd_train(args):
     for key in GRID_KEYS:
         if isinstance(cfg.get(key), list):
             raise ConfigError(f"{key} is a list; sweeps run through the grid subcommand")
-    result = _run_training(cfg, args.seed, args.jobs, args.out)
+    result = _run_training(cfg, args.seed, args.out)
     _write_manifest(args.out, "train", cfg, args.seed)
     print(
         json.dumps(
@@ -585,7 +579,7 @@ def cmd_grid(args):
     summaries = []
     for i, cell in enumerate(cells):
         cell_dir = os.path.join(args.out, f"cell_{i:03d}")
-        result = _run_training(cell, args.seed, args.jobs, cell_dir)
+        result = _run_training(cell, args.seed, cell_dir)
         _write_manifest(cell_dir, "grid-cell", cell, args.seed)
         summaries.append(
             {
@@ -614,11 +608,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, epochs=False, restarts=False, jobs=False):
+    def common(p, epochs=False, restarts=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1)
         if epochs:
             p.add_argument("--epochs", type=int, default=None)
         if restarts:
@@ -634,7 +626,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="fit one model per a config file")
     p.add_argument("--config", required=True)
-    common(p, epochs=True, restarts=True, jobs=True)
+    common(p, epochs=True, restarts=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="metric report for a saved model")
@@ -680,7 +672,7 @@ def build_parser():
 
     p = sub.add_parser("grid", help="sweep list-valued config keys, select by validation")
     p.add_argument("--config", required=True)
-    common(p, epochs=True, restarts=True, jobs=True)
+    common(p, epochs=True, restarts=True)
     p.set_defaults(func=cmd_grid)
 
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffcore import Architecture, mlp_forward_np
+from .diffcore import Architecture, mlp_forward
 from .exceptions import ConfigError, CsvParseError
 
 
@@ -191,7 +191,7 @@ def gen_synthetic(name, seed, sizes=None, distill=False, distill_epochs=4000):
                 epochs=distill_epochs,
                 seed=rng.integers(0, 2**32),
             )
-            f = mlp_forward_np(gt_arch, w_true, x, z)
+            f = mlp_forward(gt_arch, w_true, x, z)
         y = f + rng.normal(0.0, np.sqrt(sigma2_eps), size=(n, 1))
         ds = DataSet(
             x=x,

@@ -505,31 +505,3 @@ def mlp_forward(arch, w, x, z=None):
         h = reshape(h, (arch.output_dim,))
     return h
 
-
-def mlp_forward_np(arch, w, x, z=None):
-    """Plain-numpy forward pass; fast path for samplers and metrics."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (arch.param_count,):
-        raise ValueError(f"weight vector must have length {arch.param_count}, got {w.shape}")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x.reshape(1, -1)
-        if z is not None:
-            z = np.reshape(z, (1, -1))
-    if x.shape[1] != arch.input_dim_x:
-        raise ValueError(f"x must have {arch.input_dim_x} columns, got shape {x.shape}")
-    if arch.input_dim_z > 0:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (x.shape[0], arch.input_dim_z):
-            raise ValueError(f"z must have shape ({x.shape[0]}, {arch.input_dim_z}), got {z.shape}")
-        h = np.concatenate([x, z], axis=1)
-    else:
-        h = x
-    slices = arch.layer_slices()
-    alpha = arch.leaky_slope
-    for i, (w_sl, b_sl, din, dout) in enumerate(slices):
-        h = h @ w[w_sl].reshape(din, dout) + w[b_sl]
-        if i < len(slices) - 1:
-            h = np.where(h > 0.0, h, alpha * h)
-    return h.reshape(arch.output_dim) if single else h

@@ -15,8 +15,8 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma, logsumexp
 from scipy.stats import ks_2samp
 
-from .diffcore import mlp_forward_np
-from .model import predictive_sample_matrix
+from .diffcore import mlp_forward
+from .model import predictive_means, predictive_sample_matrix
 from .ncai import hz_statistic, pearson_penalty
 
 
@@ -34,13 +34,9 @@ def _predictive_logp_matrix(q_w, data, priors, which, s, seed):
     x, y = view.x, view.y
     n, l = y.shape
     rng = np.random.default_rng(seed)
-    k = q_w.input_dim_z
     s2e = priors.sigma2_eps
     logp = np.empty((s, n))
-    for i in range(s):
-        f = q_w.draw_function(rng)
-        z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k)) if k > 0 else None
-        mean = f(x, z)
+    for i, mean in enumerate(predictive_means(q_w, priors, x, s, rng)):
         sq = np.sum((y - mean) ** 2, axis=1)
         logp[i] = -0.5 * sq / s2e - 0.5 * l * np.log(2.0 * np.pi * s2e)
     return logp
@@ -70,13 +66,9 @@ def predictive_rmse(q_w, data, priors, which="test", s=2000, seed=0):
     """RMSE of the posterior-predictive mean against held-out targets."""
     view = data.view(which)
     x, y = view.x, view.y
-    rng = np.random.default_rng(seed)
-    k = q_w.input_dim_z
     acc = np.zeros_like(y)
-    for _ in range(s):
-        f = q_w.draw_function(rng)
-        z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(y.shape[0], k)) if k > 0 else None
-        acc += f(x, z)
+    for mean in predictive_means(q_w, priors, x, s, np.random.default_rng(seed)):
+        acc += mean
     return float(np.sqrt(np.mean((y - acc / s) ** 2)))
 
 
@@ -91,7 +83,7 @@ def recon_mse(q, data):
     if mu_z is None or q.input_dim_z == 0:
         return None
     view = data.view("train")
-    pred = mlp_forward_np(q.arch, q.mu_w, view.x, mu_z)
+    pred = mlp_forward(q.arch, q.mu_w, view.x, mu_z)
     return float(np.mean((view.y - pred) ** 2))
 
 

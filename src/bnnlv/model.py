@@ -163,7 +163,7 @@ class PointMassWeights:
 
     def draw_function(self, rng):
         arch, w = self.arch, self.w
-        return lambda x, z=None: dc.mlp_forward_np(arch, w, x, z)
+        return lambda x, z=None: dc.mlp_forward(arch, w, x, z)
 
 
 class FixedFunction:
@@ -184,45 +184,32 @@ class FixedFunction:
         return call
 
 
+def predictive_means(q_w, priors, X, S, rng):
+    """Yield f(X, z) for S joint draws of a function and of the latents.
+
+    Each draw takes one function from ``q_w`` and one latent row per input
+    from the prior p(z), never from trained per-point posteriors (z is None
+    when the model has no latent inputs). Every predictive sampler and metric
+    draws through this loop; a caller that adds output noise draws it from
+    the same ``rng`` before asking for the next draw.
+    """
+    n, k = X.shape[0], q_w.input_dim_z
+    for _ in range(S):
+        f = q_w.draw_function(rng)
+        z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k)) if k > 0 else None
+        yield f(X, z)
+
+
 def predictive_sample_matrix(q_w, priors, X, S, seed):
     """S posterior-predictive draws per row of X; returns (N, S, L).
 
-    Latents come from the prior p(z), never from trained per-point
-    posteriors, and fresh output noise is added to every draw.
+    Draws come from ``predictive_means`` with fresh output noise added to
+    every draw.
     """
     rng = np.random.default_rng(seed)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
-    k = q_w.input_dim_z
-    l = q_w.output_dim
+    n, l = X.shape[0], q_w.output_dim
     out = np.empty((n, S, l))
-    for s in range(S):
-        f = q_w.draw_function(rng)
-        z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k)) if k > 0 else None
-        mean = f(X, z)
+    for s, mean in enumerate(predictive_means(q_w, priors, X, S, rng)):
         out[:, s, :] = mean + rng.normal(0.0, np.sqrt(priors.sigma2_eps), size=(n, l))
     return out
-
-
-def posterior_predictive_samples(q_w, priors, x_star, S, seed, return_z=False):
-    """S predictive draws at a single input point; returns (S, L).
-
-    Each draw uses one weight sample, one latent sample from the prior,
-    and fresh output noise.
-    """
-    rng = np.random.default_rng(seed)
-    x_star = np.asarray(x_star, dtype=np.float64).reshape(1, -1)
-    k = q_w.input_dim_z
-    l = q_w.output_dim
-    ys = np.empty((S, l))
-    zs = np.empty((S, k))
-    for s in range(S):
-        f = q_w.draw_function(rng)
-        z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(1, k)) if k > 0 else None
-        mean = f(x_star, z)
-        ys[s] = mean[0] + rng.normal(0.0, np.sqrt(priors.sigma2_eps), size=l)
-        if k > 0:
-            zs[s] = z[0]
-    if return_z:
-        return ys, zs
-    return ys

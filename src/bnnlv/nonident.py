@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Architecture, mlp_forward_np
 from .exceptions import ConfigError
 from .model import log_joint, make_x_sampler
 

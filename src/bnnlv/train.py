@@ -8,7 +8,6 @@ average marginal log-likelihood on the validation split.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -341,21 +340,13 @@ def restart_select(trained, data, s_ll=2000, seed=0):
     return int(np.argmax(scores))
 
 
-def train_restarts(data, arch, priors, ncai_cfg, train_cfg, method, seed, jobs=1):
+def train_restarts(data, arch, priors, ncai_cfg, train_cfg, method, seed):
     """Run seeded restarts and return (best posterior, final priors, histories, index)."""
     seeds = np.random.SeedSequence(seed).spawn(train_cfg.restarts)
-
-    def one(ss):
-        run_seed = int(ss.generate_state(1)[0])
-        q, history = train(data, arch, priors, ncai_cfg, train_cfg, method, run_seed)
-        return q, history
-
-    if jobs > 1 and train_cfg.restarts > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(ss) for ss in seeds]
-
+    results = [
+        train(data, arch, priors, ncai_cfg, train_cfg, method, int(ss.generate_state(1)[0]))
+        for ss in seeds
+    ]
     pairs = [(q, final_priors(priors, h)) for q, h in results]
     best = restart_select(pairs, data, seed=seed)
     q, history = results[best]

@@ -7,7 +7,7 @@ closed-form KL against the Gaussian priors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -76,7 +76,7 @@ class MeanFieldPosterior:
     def draw_function(self, rng):
         w = self.draw_weights(rng)
         arch = self.arch
-        return lambda x, z=None: dc.mlp_forward_np(arch, w, x, z)
+        return lambda x, z=None: dc.mlp_forward(arch, w, x, z)
 
     def copy(self):
         return MeanFieldPosterior(
@@ -88,13 +88,7 @@ class MeanFieldPosterior:
 
     def to_dict(self):
         return {
-            "arch": {
-                "input_dim_x": self.arch.input_dim_x,
-                "input_dim_z": self.arch.input_dim_z,
-                "hidden_layers": list(self.arch.hidden_layers),
-                "output_dim": self.arch.output_dim,
-                "leaky_slope": self.arch.leaky_slope,
-            },
+            "arch": asdict(self.arch),
             "mu_w": self.mu_w.tolist(),
             "rho_w": self.rho_w.tolist(),
             "mu_z": self.mu_z.tolist(),
@@ -103,13 +97,7 @@ class MeanFieldPosterior:
 
     @classmethod
     def from_dict(cls, d):
-        arch = Architecture(
-            input_dim_x=d["arch"]["input_dim_x"],
-            input_dim_z=d["arch"]["input_dim_z"],
-            hidden_layers=tuple(d["arch"]["hidden_layers"]),
-            output_dim=d["arch"]["output_dim"],
-            leaky_slope=d["arch"]["leaky_slope"],
-        )
+        arch = Architecture(**d["arch"])
         mu_z = np.asarray(d["mu_z"], dtype=np.float64).reshape(-1, arch.input_dim_z)
         rho_z = np.asarray(d["rho_z"], dtype=np.float64).reshape(-1, arch.input_dim_z)
         return cls(arch, np.asarray(d["mu_w"]), np.asarray(d["rho_w"]), mu_z, rho_z)

@@ -17,7 +17,7 @@ from scipy.stats import pearsonr
 import bnnlv.diffcore as dc
 import bnnlv.vi as vi_mod
 from bnnlv.data import DataSet, gen_synthetic, ground_truth_fn
-from bnnlv.diffcore import Architecture, mlp_forward_np
+from bnnlv.diffcore import Architecture, mlp_forward
 from bnnlv.metrics import (
     avg_marginal_ll,
     js_divergence_mc,
@@ -64,8 +64,8 @@ def test_c01_transform_exactness():
         z = rng.standard_normal((25, 1))
         c = rng.uniform(0.5, 1.0)
         w_hat, z_hat = node_transform(w, x, z, c)
-        before = mlp_forward_np(ONE_NODE, _one_node_w(w), x, z)
-        after = mlp_forward_np(ONE_NODE, _one_node_w(float(w_hat)), x, z_hat)
+        before = mlp_forward(ONE_NODE, _one_node_w(w), x, z)
+        after = mlp_forward(ONE_NODE, _one_node_w(float(w_hat)), x, z_hat)
         assert np.max(np.abs(before - after)) <= 1e-9
 
     arch = Architecture(input_dim_x=2, input_dim_z=2, hidden_layers=(5,), output_dim=1)
@@ -87,8 +87,8 @@ def test_c01_transform_exactness():
         x = rng.standard_normal((20, 2))
         z = rng.standard_normal((20, 2))
         new_w, z_hat = layer_transform(weights, spec, x, z)
-        before = mlp_forward_np(arch, weights.to_flat(arch), x, z)
-        after = mlp_forward_np(arch, new_w.to_flat(arch), x, z_hat)
+        before = mlp_forward(arch, weights.to_flat(arch), x, z)
+        after = mlp_forward(arch, new_w.to_flat(arch), x, z_hat)
         assert np.max(np.abs(before - after)) <= 1e-9
 
     for i in range(100):
@@ -102,7 +102,7 @@ def test_c01_transform_exactness():
         )
         enc_arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(h,), output_dim=1)
         weights, z_hat = y_encoding_transform(data, enc_arch)
-        recon = mlp_forward_np(enc_arch, weights.to_flat(enc_arch), data.x, z_hat)
+        recon = mlp_forward(enc_arch, weights.to_flat(enc_arch), data.x, z_hat)
         assert np.max(np.abs(recon - data.y)) <= 1e-9
 
     assert time.time() - start < 5.0

@@ -10,7 +10,7 @@ from bnnlv.data import (
     standardize,
     unstandardize_y,
 )
-from bnnlv.diffcore import mlp_forward_np
+from bnnlv.diffcore import mlp_forward
 from bnnlv.exceptions import ConfigError, CsvParseError
 
 
@@ -131,7 +131,7 @@ def test_williams_noise_vanishes_at_peak():
 def test_distill_stores_exact_ground_truth(tmp_path):
     data = gen_synthetic("heavy_tail", seed=7, sizes=(60, 20, 20), distill_epochs=400, distill=True)
     assert data.w_true is not None and data.gt_arch is not None
-    pred = mlp_forward_np(data.gt_arch, data.w_true, data.x, data.z_true)
+    pred = mlp_forward(data.gt_arch, data.w_true, data.x, data.z_true)
     resid = data.y - pred
     # targets were regenerated from the net: residuals are pure output noise
     assert abs(resid.mean()) < 0.1

@@ -140,14 +140,14 @@ class TestArchitecture:
     def test_no_hidden_layers_is_linear(self):
         arch = dc.Architecture(input_dim_x=2, input_dim_z=0, hidden_layers=(), output_dim=1)
         w = np.array([1.0, -1.0, 0.5])
-        out = dc.mlp_forward_np(arch, w, np.array([2.0, 3.0]))
+        out = dc.mlp_forward(arch, w, np.array([2.0, 3.0]))
         assert out[0] == pytest.approx(2.0 - 3.0 + 0.5)
 
 
 class TestMlpForward:
     def test_zero_weights_give_zero(self):
         arch = dc.Architecture(input_dim_x=2, input_dim_z=1, hidden_layers=(4,))
-        out = dc.mlp_forward_np(arch, np.zeros(arch.param_count), np.ones(2), np.ones(1))
+        out = dc.mlp_forward(arch, np.zeros(arch.param_count), np.ones(2), np.ones(1))
         np.testing.assert_array_equal(out, np.zeros(1))
 
     def test_single_node_example(self):
@@ -155,7 +155,7 @@ class TestMlpForward:
         # x=1, z=0.5 -> activation(1.5) = 1.5 -> 3.0
         arch = dc.Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(1,))
         w = np.array([1.0, 1.0, 0.0, 2.0, 0.0])
-        out = dc.mlp_forward_np(arch, w, np.array([1.0]), np.array([0.5]))
+        out = dc.mlp_forward(arch, w, np.array([1.0]), np.array([0.5]))
         assert out[0] == pytest.approx(3.0)
 
     def test_batched_matches_single(self):
@@ -164,9 +164,9 @@ class TestMlpForward:
         w = rng.normal(size=arch.param_count)
         X = rng.normal(size=(10, 2))
         Z = rng.normal(size=(10, 1))
-        batched = dc.mlp_forward_np(arch, w, X, Z)
+        batched = dc.mlp_forward(arch, w, X, Z)
         for i in range(10):
-            np.testing.assert_allclose(batched[i], dc.mlp_forward_np(arch, w, X[i], Z[i]))
+            np.testing.assert_allclose(batched[i], dc.mlp_forward(arch, w, X[i], Z[i]))
 
     def test_graph_forward_equals_numpy_forward(self):
         rng = np.random.default_rng(11)
@@ -175,7 +175,7 @@ class TestMlpForward:
         X = rng.normal(size=(8, 2))
         Z = rng.normal(size=(8, 2))
         node = dc.mlp_forward(arch, dc.leaf(w), X, Z)
-        np.testing.assert_array_equal(node.value, dc.mlp_forward_np(arch, w, X, Z))
+        np.testing.assert_array_equal(node.value, dc.mlp_forward(arch, w, X, Z))
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(13)
@@ -183,7 +183,7 @@ class TestMlpForward:
         w = rng.normal(size=arch.param_count)
         x = rng.normal(size=2)
         z = rng.normal(size=1)
-        got = dc.mlp_forward_np(arch, w, x, z)
+        got = dc.mlp_forward(arch, w, x, z)
         want = naive_mlp_forward(arch.layer_dims, arch.leaky_slope, w, np.concatenate([x, z]))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -196,7 +196,7 @@ class TestMlpForward:
         y = rng.normal(size=(6, 1))
 
         def loss_value(w):
-            pred = dc.mlp_forward_np(arch, w, X, Z)
+            pred = dc.mlp_forward(arch, w, X, Z)
             return float(np.sum((pred - y) ** 2))
 
         leaf = dc.leaf(w0)
@@ -213,16 +213,16 @@ class TestMlpForward:
         w = rng.normal(size=arch.param_count)
         x = rng.normal(size=(20, 1))
         z = rng.normal(size=(20, 1))
-        a = dc.mlp_forward_np(arch, w, x, z)
-        b = dc.mlp_forward_np(arch, w, x, z)
+        a = dc.mlp_forward(arch, w, x, z)
+        b = dc.mlp_forward(arch, w, x, z)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_errors(self):
         arch = dc.Architecture(input_dim_x=2, input_dim_z=1, hidden_layers=(3,))
         w = np.zeros(arch.param_count)
         with pytest.raises(ValueError):
-            dc.mlp_forward_np(arch, np.zeros(3), np.ones(2), np.ones(1))
+            dc.mlp_forward(arch, np.zeros(3), np.ones(2), np.ones(1))
         with pytest.raises(ValueError):
-            dc.mlp_forward_np(arch, w, np.ones(3), np.ones(1))
+            dc.mlp_forward(arch, w, np.ones(3), np.ones(1))
         with pytest.raises(ValueError):
-            dc.mlp_forward_np(arch, w, np.ones(2), None)
+            dc.mlp_forward(arch, w, np.ones(2), None)

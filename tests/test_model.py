@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from bnnlv.data import DataSet, gen_synthetic, ground_truth_fn
-from bnnlv.diffcore import Architecture, mlp_forward_np
+from bnnlv.diffcore import Architecture, mlp_forward
 from bnnlv.exceptions import ConfigError
 from bnnlv.model import (
     FixedFunction,
@@ -14,7 +14,6 @@ from bnnlv.model import (
     log_prior_w,
     log_prior_z,
     make_x_sampler,
-    posterior_predictive_samples,
     predictive_sample_matrix,
     sample_dataset,
 )
@@ -50,7 +49,7 @@ class TestLogLikelihood:
         view = data.view("train")
         total = 0.0
         for n in range(9):
-            mu = mlp_forward_np(arch, w, view.x[n : n + 1], Z[n : n + 1])
+            mu = mlp_forward(arch, w, view.x[n : n + 1], Z[n : n + 1])
             total += float(
                 -0.5 * (view.y[n, 0] - mu[0, 0]) ** 2 / 0.3
                 - 0.5 * np.log(2.0 * np.pi * 0.3)
@@ -152,28 +151,25 @@ class TestPredictive:
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
         q = PointMassWeights(arch, np.zeros(arch.param_count))
         priors = PriorConfig(sigma2_z=1.0, sigma2_eps=0.25)
-        ys = posterior_predictive_samples(q, priors, np.array([0.7]), 4000, seed=0)
+        ys = predictive_sample_matrix(q, priors, np.array([[0.7]]), 4000, seed=0)[0]
         assert ys.mean() == pytest.approx(0.0, abs=0.05)
         assert ys.var() == pytest.approx(0.25, rel=0.1)
 
     def test_latents_come_from_prior(self):
-        # the predictive never touches trained per-point factors
-        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
-        rng = np.random.default_rng(3)
-        q = PointMassWeights(arch, rng.standard_normal(arch.param_count))
-        priors = PriorConfig(sigma2_z=0.04, sigma2_eps=0.1)
-        _, zs = posterior_predictive_samples(
-            q, priors, np.array([0.0]), 10_000, seed=1, return_z=True
-        )
+        # the predictive never touches trained per-point factors; a function
+        # that returns its latent input exposes the z draws
+        f = FixedFunction(lambda x, z: z, input_dim_z=1, output_dim=1)
+        priors = PriorConfig(sigma2_z=0.04, sigma2_eps=1e-18)
+        zs = predictive_sample_matrix(f, priors, np.array([[0.0]]), 10_000, seed=1)[0]
         p = stats.kstest(zs[:, 0], stats.norm(scale=0.2).cdf).pvalue
         assert p > 0.01
 
     def test_true_depeweg_interval_coverage(self):
         f = FixedFunction(ground_truth_fn("depeweg"), input_dim_z=1, output_dim=1)
         priors = PriorConfig(sigma2_z=1.0, sigma2_eps=0.1)
-        draws = posterior_predictive_samples(f, priors, np.array([0.0]), 4000, seed=2)[:, 0]
+        draws = predictive_sample_matrix(f, priors, np.array([[0.0]]), 4000, seed=2)[0, :, 0]
         lo, hi = np.percentile(draws, [2.5, 97.5])
-        fresh = posterior_predictive_samples(f, priors, np.array([0.0]), 2000, seed=3)[:, 0]
+        fresh = predictive_sample_matrix(f, priors, np.array([[0.0]]), 2000, seed=3)[0, :, 0]
         cover = np.mean((fresh >= lo) & (fresh <= hi))
         assert 0.93 <= cover <= 0.97
 
@@ -186,6 +182,6 @@ class TestPredictive:
         priors = PriorConfig(sigma2_z=1.0, sigma2_eps=1e-18)
         x = np.array([[2.0]])
         draws = predictive_sample_matrix(q, priors, x, 4000, seed=4)[0, :, 0]
-        expected = mlp_forward_np(arch, w, x, np.zeros((1, 1)))[0, 0]
+        expected = mlp_forward(arch, w, x, np.zeros((1, 1)))[0, 0]
         se = draws.std() / np.sqrt(len(draws))
         assert abs(draws.mean() - expected) <= 3.0 * se

@@ -3,7 +3,7 @@ import pytest
 
 from bnnlv import diffcore as dc
 from bnnlv.data import DataSet, gen_synthetic
-from bnnlv.diffcore import Architecture, mlp_forward_np
+from bnnlv.diffcore import Architecture, mlp_forward
 from bnnlv.exceptions import ConfigError, DivergenceError
 from bnnlv.model import PriorConfig
 from bnnlv.ncai import (
@@ -237,7 +237,7 @@ class TestWarmStart:
         assert np.all(q.mu_z == 0.0)
         assert q.rho_z.shape == (60, 1)
         view = data.view("train")
-        pred = mlp_forward_np(arch, q.mu_w, view.x, np.zeros((60, 1)))
+        pred = mlp_forward(arch, q.mu_w, view.x, np.zeros((60, 1)))
         rmse = np.sqrt(np.mean((pred - view.y) ** 2))
         assert rmse < 0.1
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from bnnlv.data import DataSet, gen_synthetic
-from bnnlv.diffcore import Architecture, mlp_forward_np
+from bnnlv.diffcore import Architecture, mlp_forward
 from bnnlv.exceptions import ConfigError
 from bnnlv.model import PriorConfig, log_joint, log_prior_w, log_prior_z
 from bnnlv.ncai import pearson_penalty
@@ -60,8 +60,8 @@ class TestNodeTransform:
             z = rng.normal(0.0, 0.1, size=(1, 1))
             c = rng.uniform(0.5, 1.0)
             w_hat, z_hat = node_transform(w, x, z, c)
-            a = mlp_forward_np(TIED, _tied_flat(w), x, z)
-            b = mlp_forward_np(TIED, _tied_flat(float(w_hat)), x, z_hat)
+            a = mlp_forward(TIED, _tied_flat(w), x, z)
+            b = mlp_forward(TIED, _tied_flat(float(w_hat)), x, z_hat)
             assert abs(a[0, 0] - b[0, 0]) <= 1e-12
 
     def test_rejects_zero(self):
@@ -107,8 +107,8 @@ class TestLayerTransform:
             x = rng.standard_normal((3, 2))
             z = rng.standard_normal((3, 2))
             new, z_hat = layer_transform(w, spec, x, z)
-            a = mlp_forward_np(arch, w.to_flat(arch), x, z)
-            b = mlp_forward_np(arch, new.to_flat(arch), x, z_hat)
+            a = mlp_forward(arch, w.to_flat(arch), x, z)
+            b = mlp_forward(arch, new.to_flat(arch), x, z_hat)
             assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_rejects_bad_factorization(self):
@@ -139,7 +139,7 @@ class TestYEncoding:
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(8,), output_dim=1)
         weights, z_hat = y_encoding_transform(data, arch)
         view = data.view("train")
-        pred = mlp_forward_np(arch, weights.to_flat(arch), view.x, z_hat)
+        pred = mlp_forward(arch, weights.to_flat(arch), view.x, z_hat)
         assert np.max(np.abs(pred - view.y)) <= 1e-10
 
     def test_latents_encode_targets(self):

@@ -4,7 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from bnnlv import diffcore as dc
 from bnnlv.data import DataSet, gen_synthetic
-from bnnlv.diffcore import Architecture, mlp_forward_np
+from bnnlv.diffcore import Architecture, mlp_forward
 from bnnlv.exceptions import ConfigError, DivergenceError
 from bnnlv.model import PriorConfig
 from bnnlv.ncai import NcaiConfig
@@ -194,7 +194,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=1500, restarts=1, learning_rate=0.02, n_mc=1)
         q, _ = train(data, arch, PriorConfig(sigma2_w=10.0, sigma2_eps=0.05), None, cfg, "BNN", seed=0)
         x = np.array([[0.0], [1.0]])
-        pred = mlp_forward_np(arch, q.mu_w, x, None)
+        pred = mlp_forward(arch, q.mu_w, x, None)
         slope = float(pred[1, 0] - pred[0, 0])
         assert 1.8 <= slope <= 2.2
 
@@ -287,15 +287,15 @@ class TestRestarts:
         good, _ = self._handmade_pair(data)
         assert restart_select([(good, PriorConfig())], data) == 0
 
-    def test_jobs_do_not_change_result(self):
+    def test_same_seed_repeats(self):
         data = gen_synthetic("heavy_tail", seed=5, sizes=(12, 4, 0))
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
         cfg = TrainConfig(epochs=8, restarts=3, warm_epochs=10)
         q1, p1, h1, b1 = train_restarts(
-            data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=0, jobs=1
+            data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=0
         )
         q2, p2, h2, b2 = train_restarts(
-            data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=0, jobs=2
+            data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=0
         )
         assert b1 == b2
         assert np.array_equal(q1.mu_w, q2.mu_w)

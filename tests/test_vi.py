@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -88,10 +90,12 @@ class TestPosterior:
             input_dim_x=2, input_dim_z=1, hidden_layers=(3, 2), output_dim=1, leaky_slope=0.2
         )
         q = random_init(arch, 4, seed=3)
-        back = MeanFieldPosterior.from_dict(q.to_dict())
-        assert back.arch == q.arch
-        for u, v in zip(q.params(), back.params()):
-            assert np.array_equal(u, v)
+        # in memory, and through JSON as model.json stores it
+        for d in (q.to_dict(), json.loads(json.dumps(q.to_dict()))):
+            back = MeanFieldPosterior.from_dict(d)
+            assert back.arch == q.arch
+            for u, v in zip(q.params(), back.params()):
+                assert np.array_equal(u, v)
 
     def test_draws_deterministic_given_rng(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(2,), output_dim=1)
@@ -103,6 +107,8 @@ class TestPosterior:
         x = np.array([[0.3]])
         z = np.array([[0.1]])
         assert np.array_equal(f(x, z), f(x, z))
+        with pytest.raises(ValueError, match="architecture requires latent inputs z"):
+            f(x)
 
 
 class TestElbo:
