@@ -495,6 +495,10 @@ def cmd_nonident_demo(args):
 
 
 def cmd_map_demo(args):
+    if args.epochs < 1:
+        raise ConfigError("--epochs must be positive")
+    if args.restarts < 1:
+        raise ConfigError("--restarts must be positive")
     data = gen_synthetic(args.dataset, args.seed, distill=True)
     priors = PriorConfig(
         sigma2_w=args.sigma2_w,
@@ -659,7 +663,7 @@ def build_parser():
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.01)
     p.add_argument("--sigma2-w", dest="sigma2_w", type=float, default=10.0)
     common(p, epochs=True, restarts=True)
-    p.set_defaults(func=cmd_map_demo)
+    p.set_defaults(func=cmd_map_demo, epochs=3000, restarts=9)
 
     p = sub.add_parser("decompose", help="entropy split across an input grid")
     p.add_argument("--model", default=None)
@@ -697,14 +701,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.out is None:
         args.out = os.path.join("runs", args.command)
-    if getattr(args, "epochs", None) is not None and args.epochs is not None:
-        if args.command == "map-demo" and args.epochs <= 0:
-            return _fail(2, "config", "--epochs must be positive")
-    if args.command == "map-demo":
-        if args.epochs is None:
-            args.epochs = 3000
-        if args.restarts is None:
-            args.restarts = 9
     try:
         return args.func(args)
     except (ConfigError, CsvParseError, FileNotFoundError) as e:

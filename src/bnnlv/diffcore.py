@@ -6,6 +6,12 @@ gradients into ``Node.grad``. All operations also accept plain arrays or
 scalars, in which case they compute with numpy directly and return an
 array, so the same model code serves both the differentiable training
 path and fast plain-numpy evaluation.
+
+An op computes ``out`` from its operands' values and returns
+``_op(name, out, (operand, vjp), ...)`` with one pair per operand, where
+``vjp`` maps the gradient of ``out`` to that operand's gradient. ``_op``
+puts only the Node operands on the tape, and returns ``out`` itself when
+there are none.
 """
 from __future__ import annotations
 
@@ -17,10 +23,6 @@ from scipy.special import expit
 
 def _val(x):
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=np.float64)
-
-
-def _any_node(*xs):
-    return any(isinstance(x, Node) for x in xs)
 
 
 def _unbroadcast(grad, shape):
@@ -104,55 +106,39 @@ def leaf(value):
     return Node(value)
 
 
+def _op(name, out, *pairs):
+    """Put ``out`` on the tape as op ``name`` over (operand, vjp) pairs.
+
+    Only Node operands become parents, in the order given; with none,
+    ``out`` is returned as it is.
+    """
+    pairs = [(p, vjp) for p, vjp in pairs if isinstance(p, Node)]
+    if not pairs:
+        return out
+    parents, vjps = zip(*pairs)
+    return Node(out, parents, vjps, name)
+
+
 def add(a, b):
     av, bv = _val(a), _val(b)
-    out = av + bv
-    if not _any_node(a, b):
-        return out
-    parents, vjps = [], []
-    if isinstance(a, Node):
-        parents.append(a)
-        vjps.append(lambda g, s=av.shape: _unbroadcast(g, s))
-    if isinstance(b, Node):
-        parents.append(b)
-        vjps.append(lambda g, s=bv.shape: _unbroadcast(g, s))
-    return Node(out, parents, vjps, "add")
+    return _op("add", av + bv, (a, lambda g, s=av.shape: _unbroadcast(g, s)),
+               (b, lambda g, s=bv.shape: _unbroadcast(g, s)))
 
 
 def neg(a):
-    if not isinstance(a, Node):
-        return -_val(a)
-    return Node(-a.value, (a,), (lambda g: -g,), "neg")
+    return _op("neg", -_val(a), (a, lambda g: -g))
 
 
 def mul(a, b):
     av, bv = _val(a), _val(b)
-    out = av * bv
-    if not _any_node(a, b):
-        return out
-    parents, vjps = [], []
-    if isinstance(a, Node):
-        parents.append(a)
-        vjps.append(lambda g, o=bv, s=av.shape: _unbroadcast(g * o, s))
-    if isinstance(b, Node):
-        parents.append(b)
-        vjps.append(lambda g, o=av, s=bv.shape: _unbroadcast(g * o, s))
-    return Node(out, parents, vjps, "mul")
+    return _op("mul", av * bv, (a, lambda g, o=bv, s=av.shape: _unbroadcast(g * o, s)),
+               (b, lambda g, o=av, s=bv.shape: _unbroadcast(g * o, s)))
 
 
 def div(a, b):
     av, bv = _val(a), _val(b)
-    out = av / bv
-    if not _any_node(a, b):
-        return out
-    parents, vjps = [], []
-    if isinstance(a, Node):
-        parents.append(a)
-        vjps.append(lambda g, d=bv, s=av.shape: _unbroadcast(g / d, s))
-    if isinstance(b, Node):
-        parents.append(b)
-        vjps.append(lambda g, n=av, d=bv, s=bv.shape: _unbroadcast(-g * n / (d * d), s))
-    return Node(out, parents, vjps, "div")
+    return _op("div", av / bv, (a, lambda g, d=bv, s=av.shape: _unbroadcast(g / d, s)),
+               (b, lambda g, n=av, d=bv, s=bv.shape: _unbroadcast(-g * n / (d * d), s)))
 
 
 def power(a, exponent):
@@ -161,33 +147,21 @@ def power(a, exponent):
         raise TypeError("exponent must be a constant")
     c = float(exponent)
     av = _val(a)
-    out = av**c
-    if not isinstance(a, Node):
-        return out
-    return Node(out, (a,), (lambda g, x=av: g * c * x ** (c - 1.0),), "pow")
+    return _op("pow", av**c, (a, lambda g, x=av: g * c * x ** (c - 1.0)))
 
 
 def exp(a):
-    av = _val(a)
-    out = np.exp(av)
-    if not isinstance(a, Node):
-        return out
-    return Node(out, (a,), (lambda g, o=out: g * o,), "exp")
+    out = np.exp(_val(a))
+    return _op("exp", out, (a, lambda g, o=out: g * o))
 
 
 def log(a):
     av = _val(a)
-    out = np.log(av)
-    if not isinstance(a, Node):
-        return out
-    return Node(out, (a,), (lambda g, x=av: g / x,), "log")
+    return _op("log", np.log(av), (a, lambda g, x=av: g / x))
 
 
 def sqrt(a):
-    av = _val(a)
-    out = np.sqrt(av)
-    if not isinstance(a, Node):
-        return out
+    out = np.sqrt(_val(a))
 
     def vjp(g, o=out):
         # convention: zero subgradient where the argument is exactly zero,
@@ -195,24 +169,18 @@ def sqrt(a):
         safe = np.where(o == 0.0, 1.0, o)
         return np.where(o == 0.0, 0.0, g * 0.5 / safe)
 
-    return Node(out, (a,), (vjp,), "sqrt")
+    return _op("sqrt", out, (a, vjp))
 
 
 def absolute(a):
     av = _val(a)
-    out = np.abs(av)
-    if not isinstance(a, Node):
-        return out
-    return Node(out, (a,), (lambda g, x=av: g * np.sign(x),), "abs")
+    return _op("abs", np.abs(av), (a, lambda g, x=av: g * np.sign(x)))
 
 
 def softplus(a):
     """softplus(x) = log(1 + exp(x)), computed stably."""
     av = _val(a)
-    out = np.logaddexp(0.0, av)
-    if not isinstance(a, Node):
-        return out
-    return Node(out, (a,), (lambda g, x=av: g * expit(x),), "softplus")
+    return _op("softplus", np.logaddexp(0.0, av), (a, lambda g, x=av: g * expit(x)))
 
 
 def leaky_relu(a, alpha=0.01):
@@ -223,83 +191,53 @@ def leaky_relu(a, alpha=0.01):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {alpha}")
     av = _val(a)
-    out = np.where(av > 0.0, av, alpha * av)
-    if not isinstance(a, Node):
-        return out
-    return Node(out, (a,), (lambda g, x=av: g * np.where(x > 0.0, 1.0, alpha),), "leaky_relu")
+    return _op("leaky_relu", np.where(av > 0.0, av, alpha * av),
+               (a, lambda g, x=av: g * np.where(x > 0.0, 1.0, alpha)))
 
 
 def matmul(a, b):
     av, bv = _val(a), _val(b)
     if av.ndim != 2 or bv.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
-    out = av @ bv
-    if not _any_node(a, b):
-        return out
-    parents, vjps = [], []
-    if isinstance(a, Node):
-        parents.append(a)
-        vjps.append(lambda g, o=bv: g @ o.T)
-    if isinstance(b, Node):
-        parents.append(b)
-        vjps.append(lambda g, o=av: o.T @ g)
-    return Node(out, parents, vjps, "matmul")
+    return _op("matmul", av @ bv, (a, lambda g, o=bv: g @ o.T), (b, lambda g, o=av: o.T @ g))
 
 
 def transpose(a):
-    av = _val(a)
-    out = av.T
-    if not isinstance(a, Node):
-        return out
-    return Node(out, (a,), (lambda g: g.T,), "transpose")
+    return _op("transpose", _val(a).T, (a, lambda g: g.T))
 
 
 def take(a, key):
     """Slice or index; the backward pass scatter-adds into the source shape."""
     av = _val(a)
-    out = av[key]
-    if not isinstance(a, Node):
-        return out
 
     def vjp(g, shape=av.shape, key=key):
         z = np.zeros(shape)
         np.add.at(z, key, g)
         return z
 
-    return Node(out, (a,), (vjp,), "take")
+    return _op("take", av[key], (a, vjp))
 
 
 def reshape(a, shape):
     av = _val(a)
-    out = av.reshape(shape)
-    if not isinstance(a, Node):
-        return out
-    return Node(out, (a,), (lambda g, s=av.shape: g.reshape(s),), "reshape")
+    return _op("reshape", av.reshape(shape), (a, lambda g, s=av.shape: g.reshape(s)))
 
 
 def concat(parts, axis=0):
     vals = [_val(p) for p in parts]
     out = np.concatenate(vals, axis=axis)
-    if not _any_node(*parts):
-        return out
-    parents, vjps = [], []
-    offset = 0
+    pairs, offset = [], 0
     for p, v in zip(parts, vals):
         width = v.shape[axis]
-        if isinstance(p, Node):
-            sl = [slice(None)] * out.ndim
-            sl[axis] = slice(offset, offset + width)
-            parents.append(p)
-            vjps.append(lambda g, sl=tuple(sl): g[sl])
+        sl = [slice(None)] * out.ndim
+        sl[axis] = slice(offset, offset + width)
+        pairs.append((p, lambda g, sl=tuple(sl): g[sl]))
         offset += width
-    return Node(out, parents, vjps, "concat")
+    return _op("concat", out, *pairs)
 
 
 def sum_(a, axis=None, keepdims=False):
     av = _val(a)
-    out = av.sum(axis=axis, keepdims=keepdims)
-    if not isinstance(a, Node):
-        return out
 
     def vjp(g, shape=av.shape):
         if axis is None:
@@ -307,7 +245,7 @@ def sum_(a, axis=None, keepdims=False):
         gg = g if keepdims else np.expand_dims(g, axis)
         return np.broadcast_to(gg, shape)
 
-    return Node(out, (a,), (vjp,), "sum")
+    return _op("sum", av.sum(axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def mean_(a, axis=None, keepdims=False):
@@ -322,9 +260,7 @@ def inverse(a):
     if av.ndim != 2 or av.shape[0] != av.shape[1]:
         raise ValueError("inverse expects a square matrix")
     out = np.linalg.inv(av)
-    if not isinstance(a, Node):
-        return out
-    return Node(out, (a,), (lambda g, o=out: -o.T @ g @ o.T,), "inverse")
+    return _op("inverse", out, (a, lambda g, o=out: -o.T @ g @ o.T))
 
 
 def gaussian_reparam(mu, rho, eps):
@@ -336,7 +272,10 @@ def backward(loss):
     """Run reverse-mode accumulation from a scalar root.
 
     Populates ``grad`` on every node reachable from ``loss`` and returns a
-    dict mapping each leaf node to its gradient array.
+    dict mapping each leaf node to its gradient array. Gradients are never
+    updated in place: a node's first contribution is stored as it is, so a
+    gradient may share memory with another node's or be a read-only
+    broadcast view. Copy one before writing to it.
     """
     if not isinstance(loss, Node):
         raise TypeError("backward expects a Node")
@@ -365,10 +304,8 @@ def backward(loss):
         if g is None:
             continue
         for parent, vjp in zip(node._parents, node._vjps):
-            contribution = vjp(g)
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad = parent.grad + contribution
+            c = vjp(g)
+            parent.grad = c if parent.grad is None else parent.grad + c
     return {n: n.grad for n in topo if not n._parents and n.op == "leaf"}
 
 

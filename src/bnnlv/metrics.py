@@ -16,8 +16,10 @@ from scipy.special import digamma, logsumexp
 from scipy.stats import ks_2samp
 
 from .diffcore import mlp_forward
+from .exceptions import ConfigError
 from .model import predictive_means, predictive_sample_matrix
 from .ncai import hz_statistic, pearson_penalty
+from .vi import aggregated_posterior_logpdf
 
 
 def _tie_jitter(a, seed=0):
@@ -238,9 +240,6 @@ def compute_report(q_w, data, priors, method="NCAI", which="test", s=2000, seed=
     )
     mu_z = getattr(q_w, "mu_z", None)
     if mu_z is not None and q_w.input_dim_z > 0:
-        from .exceptions import ConfigError
-        from .vi import aggregated_posterior_logpdf
-
         train = data.view("train")
         if mu_z.shape[0] != train.x.shape[0]:
             raise ConfigError(

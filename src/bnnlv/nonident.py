@@ -134,11 +134,8 @@ def layer_transform(weights, spec, x, z):
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if np.max(np.abs(spec.r @ spec.t - weights.w_z)) > 1e-10:
         raise ValueError("spec does not factor w_z: need w_z = R @ T")
-    try:
-        t_inv = np.linalg.inv(spec.t)
-    except np.linalg.LinAlgError:
-        raise ValueError("T must be invertible") from None
-    del t_inv
+    if np.linalg.slogdet(spec.t)[0] == 0.0:
+        raise ValueError("T must be invertible")
     new_weights = SingleLayerWeights(
         w_x=weights.w_x + weights.w_z * spec.s[None, :],
         w_z=spec.r.copy(),
@@ -232,6 +229,12 @@ def bias_probability(transform, n_values, trials, priors, x_sampler, seed):
     sampler = make_x_sampler(x_sampler)
     rng = np.random.default_rng(seed)
     s2z, s2w = priors.sigma2_z, priors.sigma2_w
+    if kind == "node":
+        c = transform["c"]
+    else:
+        h = int(transform.get("hidden", 5))
+        mu_x, var_x = _sampler_moments(x_sampler)
+        t = transform["t_scale"] * t_upper_bound(mu_x, var_x, s2z)
     records = []
     for n in n_values:
         gaps = np.empty(trials)
@@ -240,14 +243,10 @@ def bias_probability(transform, n_values, trials, priors, x_sampler, seed):
             x = sampler(rng, n)
             z = rng.normal(0.0, np.sqrt(s2z), size=(n, 1))
             if kind == "node":
-                c = transform["c"]
                 w = rng.normal(0.0, np.sqrt(s2w))
                 w_hat, z_hat = node_transform(w, x, z, c)
                 weight_gap = (w**2 - w_hat**2) / (2.0 * s2w)
             else:
-                h = int(transform.get("hidden", 5))
-                mu_x, var_x = _sampler_moments(x_sampler)
-                t = transform["t_scale"] * t_upper_bound(mu_x, var_x, s2z)
                 w_x = rng.normal(0.0, np.sqrt(s2w), size=(h, 1))
                 w_z = rng.normal(0.0, np.sqrt(s2w), size=(h, 1))
                 w_x_hat = w_x + w_z

@@ -70,9 +70,6 @@ class MeanFieldPosterior:
     def draw_weights(self, rng):
         return self.mu_w + self.sigma_w * rng.standard_normal(self.mu_w.shape)
 
-    def draw_latents(self, rng):
-        return self.mu_z + self.sigma_z * rng.standard_normal(self.mu_z.shape)
-
     def draw_function(self, rng):
         w = self.draw_weights(rng)
         arch = self.arch

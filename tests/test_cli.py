@@ -268,6 +268,17 @@ class TestMapDemo:
             report["best_random"] - report["ground_truth_log_joint"]
         )
 
+    @pytest.mark.parametrize("flag", ["--epochs", "--restarts"])
+    def test_zero_count_is_config_error(self, tmp_path, capsys, monkeypatch, flag):
+        def no_data(*args, **kwargs):
+            raise AssertionError("the dataset was built before the flags were checked")
+
+        monkeypatch.setattr("bnnlv.cli.gen_synthetic", no_data)
+        code = main(["map-demo", flag, "0", "--out", str(tmp_path / "md")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not os.path.exists(tmp_path / "md")
+
 
 class TestDecompose:
     def test_grid_csv_from_true_model(self, tmp_path):

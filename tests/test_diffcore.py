@@ -48,6 +48,16 @@ class TestBackward:
         dc.backward(loss)
         assert w.grad == pytest.approx(2 * 1.5 + 2.0)
 
+    def test_shared_first_contributions_are_not_updated_in_place(self):
+        # add hands both operands the same gradient array; a's second
+        # contribution must not leak into b's gradient
+        a = dc.leaf(np.ones(3))
+        b = dc.leaf(np.ones(3))
+        loss = dc.sum_(dc.add(a, b)) + dc.sum_(dc.mul(a, 3.0))
+        dc.backward(loss)
+        np.testing.assert_array_equal(a.grad, np.full(3, 4.0))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+
     def test_nonscalar_root_rejected(self):
         v = dc.leaf(np.ones(3))
         with pytest.raises(ValueError):
@@ -62,6 +72,9 @@ class TestBackward:
             b = x[3:]
             n = dc.sum_(dc.exp(a) * b) + dc.sum_(dc.log(b * b + 1.0))
             n = n + dc.sum_(dc.softplus(a) * dc.sqrt(b * b + 0.5))
+            m = dc.reshape(x, (2, 3))
+            # a Node denominator of shape (1, 3), broadcast over the rows
+            n = n + dc.sum_(m / (dc.mean_(m * m, axis=0, keepdims=True) + 1.0))
             return n
 
         leaf = dc.leaf(x0)

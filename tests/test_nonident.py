@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -123,6 +125,15 @@ class TestLayerTransform:
         w = _random_layer(rng, d=2)
         with pytest.raises(ValueError):
             t_diag_layer_spec(w.w_z, [1.0, 0.0])
+
+    def test_rejects_singular_t(self):
+        rng = np.random.default_rng(7)
+        t = np.array([[1.0, 1.0], [1.0, 1.0]])
+        r = rng.standard_normal((5, 2))
+        w = replace(_random_layer(rng, d=2), w_z=r @ t)
+        spec = LayerTransformSpec(s=np.ones(2), u=np.zeros(2), r=r, t=t)
+        with pytest.raises(ValueError, match="T must be invertible"):
+            layer_transform(w, spec, np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_flat_roundtrip(self):
         rng = np.random.default_rng(6)
