@@ -26,7 +26,9 @@ from . import __version__
 from .data import DATASET_NAMES, DataSet, gen_synthetic, ground_truth_fn, load_csv, standardize
 from .diffcore import Architecture
 from .exceptions import ConfigError, CsvParseError, DivergenceError
-from .metrics import avg_marginal_ll, compute_report, uncertainty_decomposition
+from .metrics import (
+    avg_marginal_ll, check_interval_samples, compute_report, uncertainty_decomposition,
+)
 from .model import FixedFunction, PriorConfig, predictive_sample_matrix
 from .ncai import NcaiConfig, map_estimate
 from .nonident import bias_probability
@@ -327,11 +329,12 @@ def _apply_overrides(cfg, args):
 
 def _run_training(cfg, seed, out_dir):
     """Train per config, write the full run directory, return the result dict."""
+    s_eval = int(cfg.get("s_eval", 2000))
+    check_interval_samples(s_eval)
     data, arch, priors, ncai_cfg, train_cfg, method = build_experiment(cfg, seed)
     q, fin_priors, histories, best = train_restarts(
         data, arch, priors, ncai_cfg, train_cfg, method, seed
     )
-    s_eval = int(cfg.get("s_eval", 2000))
     report = compute_report(q, data, fin_priors, method=method, s=s_eval, seed=seed)
     val_ll = avg_marginal_ll(q, data, fin_priors, which="val", s=s_eval, seed=seed + 9)
     result = {
@@ -450,6 +453,7 @@ def _load_model(path):
 
 
 def cmd_evaluate(args):
+    check_interval_samples(args.samples)
     q, priors, method = _load_model(args.model)
     if args.dataset:
         cfg = {"dataset": args.dataset}
@@ -473,7 +477,10 @@ def cmd_nonident_demo(args):
     else:
         transform = {"kind": "layer", "t_scale": args.t_scale, "hidden": args.hidden}
     priors = PriorConfig(sigma2_w=args.sigma2_w, sigma2_z=args.sigma2_z)
-    n_values = [int(s) for s in args.n.split(",")]
+    try:
+        n_values = [int(s) for s in args.n.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}") from None
     records = bias_probability(
         transform,
         n_values,
@@ -541,6 +548,8 @@ def _parse_grid_spec(spec):
 
 
 def cmd_decompose(args):
+    if args.s_w < 1 or args.s_inner <= 5:
+        raise ConfigError("decompose needs --s-w >= 1 and --s-inner > 5")
     if args.model:
         q_w, priors, _ = _load_model(args.model)
     elif args.dataset:

@@ -17,7 +17,7 @@ from scipy.stats import ks_2samp
 
 from .diffcore import mlp_forward
 from .exceptions import ConfigError
-from .model import predictive_means, predictive_sample_matrix
+from .model import add_output_noise, predictive_means, predictive_sample_matrix
 from .ncai import hz_statistic, pearson_penalty
 from .vi import aggregated_posterior_logpdf
 
@@ -31,17 +31,40 @@ def _tie_jitter(a, seed=0):
     return a + 1e-10 * scale * rng.standard_normal(a.shape)
 
 
-def _predictive_logp_matrix(q_w, data, priors, which, s, seed):
-    view = data.view(which)
-    x, y = view.x, view.y
-    n, l = y.shape
-    rng = np.random.default_rng(seed)
-    s2e = priors.sigma2_eps
-    logp = np.empty((s, n))
-    for i, mean in enumerate(predictive_means(q_w, priors, x, s, rng)):
-        sq = np.sum((y - mean) ** 2, axis=1)
-        logp[i] = -0.5 * sq / s2e - 0.5 * l * np.log(2.0 * np.pi * s2e)
-    return logp
+def check_interval_samples(s):
+    """Raise ConfigError unless ``s`` draws give stable interval percentiles."""
+    if s < 100:
+        raise ConfigError(f"need at least 100 predictive samples, got {s}")
+
+
+def _draw_means(q_w, data, priors, which, s, seed):
+    """Targets of a split, its (S, N, L) predictive means, and their rng."""
+    view, rng = data.view(which), np.random.default_rng(seed)
+    return view.y, predictive_means(q_w, priors, view.x, s, rng), rng
+
+
+def _logp_matrix(means, y, sigma2_eps):
+    """(S, N) log-likelihood of each target under each of S means, in one
+    buffer beside ``means`` (with one output it needs no sum)."""
+    l = y.shape[1]
+    sq = y - means
+    np.square(sq, out=sq)
+    sq = sq[:, :, 0] if l == 1 else sq.sum(axis=2)
+    sq *= -0.5
+    sq /= sigma2_eps
+    sq -= 0.5 * l * np.log(2.0 * np.pi * sigma2_eps)
+    return sq
+
+
+def _rmse(means, y):
+    return float(np.sqrt(np.mean((y - means.mean(axis=0)) ** 2)))
+
+
+def _interval(draws, y, level):
+    """(picp, mpiw) of central intervals from (N, S, L) predictive draws."""
+    tail = 100.0 * (1.0 - level) / 2.0
+    lo, hi = np.percentile(draws[:, :, 0], [tail, 100.0 - tail], axis=1)
+    return float(np.mean((y[:, 0] >= lo) & (y[:, 0] <= hi))), float(np.mean(hi - lo))
 
 
 def avg_marginal_ll(q_w, data, priors, which="test", s=2000, seed=0):
@@ -50,8 +73,8 @@ def avg_marginal_ll(q_w, data, priors, which="test", s=2000, seed=0):
     Draws weights from ``q_w`` and latents from the prior, takes the mean
     of log p(y|x,W,z) over the S joint draws, then averages over points.
     """
-    logp = _predictive_logp_matrix(q_w, data, priors, which, s, seed)
-    return float(np.mean(logp))
+    y, means, _ = _draw_means(q_w, data, priors, which, s, seed)
+    return float(np.mean(_logp_matrix(means, y, priors.sigma2_eps)))
 
 
 def marginal_ll_lme(q_w, data, priors, which="test", s=2000, seed=0):
@@ -60,18 +83,15 @@ def marginal_ll_lme(q_w, data, priors, which="test", s=2000, seed=0):
     Upper-bounds avg_marginal_ll (Jensen); equal for predictives that do
     not vary across draws.
     """
-    logp = _predictive_logp_matrix(q_w, data, priors, which, s, seed)
+    y, means, _ = _draw_means(q_w, data, priors, which, s, seed)
+    logp = _logp_matrix(means, y, priors.sigma2_eps)
     return float(np.mean(logsumexp(logp, axis=0) - np.log(logp.shape[0])))
 
 
 def predictive_rmse(q_w, data, priors, which="test", s=2000, seed=0):
     """RMSE of the posterior-predictive mean against held-out targets."""
-    view = data.view(which)
-    x, y = view.x, view.y
-    acc = np.zeros_like(y)
-    for mean in predictive_means(q_w, priors, x, s, np.random.default_rng(seed)):
-        acc += mean
-    return float(np.sqrt(np.mean((y - acc / s) ** 2)))
+    y, means, _ = _draw_means(q_w, data, priors, which, s, seed)
+    return _rmse(means, y)
 
 
 def recon_mse(q, data):
@@ -95,17 +115,9 @@ def picp_mpiw(q_w, data, priors, which="test", s=2000, seed=0, level=0.95):
     Interval endpoints are empirical percentiles of S predictive draws per
     point. Returns (picp, mpiw).
     """
-    if s < 100:
-        raise ValueError("need at least 100 samples for stable percentiles")
+    check_interval_samples(s)
     view = data.view(which)
-    draws = predictive_sample_matrix(q_w, priors, view.x, s, seed)[:, :, 0]
-    tail = 100.0 * (1.0 - level) / 2.0
-    lo = np.percentile(draws, tail, axis=1)
-    hi = np.percentile(draws, 100.0 - tail, axis=1)
-    y = view.y[:, 0]
-    picp = float(np.mean((y >= lo) & (y <= hi)))
-    mpiw = float(np.mean(hi - lo))
-    return picp, mpiw
+    return _interval(predictive_sample_matrix(q_w, priors, view.x, s, seed), view.y, level)
 
 
 def _chebyshev_pairwise(a):
@@ -230,14 +242,15 @@ def compute_report(q_w, data, priors, method="NCAI", which="test", s=2000, seed=
     Predictive metrics use the requested split; latent diagnostics always
     use the training block, where the per-point factors live.
     """
-    picp, mpiw = picp_mpiw(q_w, data, priors, which=which, s=s, seed=seed + 2)
-    report = MetricsReport(
-        method=method,
-        avg_marginal_ll=avg_marginal_ll(q_w, data, priors, which=which, s=s, seed=seed),
-        rmse=predictive_rmse(q_w, data, priors, which=which, s=s, seed=seed + 1),
-        picp=picp,
-        mpiw=mpiw,
-    )
+    check_interval_samples(s)
+    # one predictive pass: the interval draws add noise to the means in
+    # place, and the block is freed before the N x N latent diagnostics
+    y, means, rng = _draw_means(q_w, data, priors, which, s, seed)
+    avg_ll = float(np.mean(_logp_matrix(means, y, priors.sigma2_eps)))
+    rmse = _rmse(means, y)
+    picp, mpiw = _interval(add_output_noise(means, priors, rng).transpose(1, 0, 2), y, 0.95)
+    del means
+    report = MetricsReport(method=method, avg_marginal_ll=avg_ll, rmse=rmse, picp=picp, mpiw=mpiw)
     mu_z = getattr(q_w, "mu_z", None)
     if mu_z is not None and q_w.input_dim_z > 0:
         train = data.view("train")

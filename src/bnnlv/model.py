@@ -167,7 +167,7 @@ class PointMassWeights:
 
 
 class FixedFunction:
-    """Adapter exposing an arbitrary f(x, z) as a point-mass posterior."""
+    """Adapter exposing an f(x, z) with one output row per x row as a point-mass posterior."""
 
     def __init__(self, f, input_dim_z=1, output_dim=1):
         self.f = f
@@ -175,41 +175,35 @@ class FixedFunction:
         self.output_dim = output_dim
 
     def draw_function(self, rng):
-        f = self.f
-
-        def call(x, z=None):
-            out = np.asarray(f(np.atleast_2d(x), z), dtype=np.float64)
-            return out.reshape(np.atleast_2d(x).shape[0], -1)
-
-        return call
+        return self.f
 
 
 def predictive_means(q_w, priors, X, S, rng):
-    """Yield f(X, z) for S joint draws of a function and of the latents.
+    """f(X, z) for S joint draws of a function and of the latents; (S, N, L).
 
     Each draw takes one function from ``q_w`` and one latent row per input
     from the prior p(z), never from trained per-point posteriors (z is None
-    when the model has no latent inputs). Every predictive sampler and metric
-    draws through this loop; a caller that adds output noise draws it from
-    the same ``rng`` before asking for the next draw.
+    when the model has no latent inputs). This is the only loop over
+    predictive draws; every predictive sampler and metric reads its array.
     """
     n, k = X.shape[0], q_w.input_dim_z
-    for _ in range(S):
+    out = np.empty((S, n, q_w.output_dim))
+    for s in range(S):
         f = q_w.draw_function(rng)
         z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k)) if k > 0 else None
-        yield f(X, z)
+        out[s] = np.reshape(f(X, z), (n, -1))
+    return out
+
+
+def add_output_noise(means, priors, rng):
+    """Add one block of N(0, sigma2_eps) noise from ``rng`` to ``means`` in place."""
+    means += rng.normal(0.0, np.sqrt(priors.sigma2_eps), size=means.shape)
+    return means
 
 
 def predictive_sample_matrix(q_w, priors, X, S, seed):
-    """S posterior-predictive draws per row of X; returns (N, S, L).
-
-    Draws come from ``predictive_means`` with fresh output noise added to
-    every draw.
-    """
+    """S posterior-predictive draws per row of X: the means plus noise; (N, S, L)."""
     rng = np.random.default_rng(seed)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n, l = X.shape[0], q_w.output_dim
-    out = np.empty((n, S, l))
-    for s, mean in enumerate(predictive_means(q_w, priors, X, S, rng)):
-        out[:, s, :] = mean + rng.normal(0.0, np.sqrt(priors.sigma2_eps), size=(n, l))
-    return out
+    means = predictive_means(q_w, priors, X, S, rng)
+    return add_output_noise(means, priors, rng).transpose(1, 0, 2)

@@ -226,6 +226,8 @@ def bias_probability(transform, n_values, trials, priors, x_sampler, seed):
     kind = transform.get("kind")
     if kind not in ("node", "layer"):
         raise ConfigError(f"unknown transform kind {transform.get('kind')!r}")
+    if trials < 1 or any(n < 1 for n in n_values):
+        raise ConfigError(f"need trials >= 1 and every n >= 1, got {trials} and {list(n_values)}")
     sampler = make_x_sampler(x_sampler)
     rng = np.random.default_rng(seed)
     s2z, s2w = priors.sigma2_z, priors.sigma2_w

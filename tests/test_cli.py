@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import bnnlv
 from bnnlv.cli import (
     GAPS_SCHEMA,
     RESULT_SCHEMA,
@@ -17,12 +18,24 @@ from bnnlv.cli import (
     main,
     parse_config,
 )
+from bnnlv.diffcore import Architecture
 from bnnlv.exceptions import ConfigError
+from bnnlv.vi import random_init
 
 
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _fails_if_called(*args, **kwargs):
+    raise AssertionError("work started before the sample counts were checked")
+
+
+def _assert_config_error(code, capsys, out):
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not os.path.exists(out)
 
 
 class TestParseConfig:
@@ -193,6 +206,14 @@ class TestTrain:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    def test_too_few_eval_samples_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        cfg_path = tmp_path / "few.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + "s_eval = 50\n")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -223,6 +244,20 @@ class TestEvaluate:
         assert "avg_marginal_ll" in metrics
         assert metrics["pc_y_z"] is not None
 
+    def test_too_few_samples_is_config_error(self, tmp_path, capsys, monkeypatch):
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "method": "NCAI",
+            "posterior": random_init(arch, 25, seed=0).to_dict(),
+            "priors": {"sigma2_w": 1.0, "sigma2_z": 1.0, "sigma2_eps": 0.1},
+        }))
+        monkeypatch.setattr("bnnlv.cli.build_dataset", _fails_if_called)
+        out = tmp_path / "e"
+        code = main(["evaluate", "--model", str(model), "--dataset", "heavy_tail",
+                     "--sizes", "25,8,8", "--samples", "50", "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
     def test_latent_row_mismatch_is_config_error(self, tmp_path, capsys):
         out = _run_train(tmp_path, "NCAI", "base2")
         code = main(["evaluate", "--model", os.path.join(out, "model.json"),
@@ -252,6 +287,15 @@ class TestNonidentDemo:
         with open(os.path.join(out, "gaps.json")) as fh:
             gaps = json.load(fh)
         assert gaps["transform"]["kind"] == "layer"
+
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n", "0"), ("--n", "-3"), ("--n", "10,,5"), ("--trials", "0")]
+    )
+    def test_bad_size_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "nd"
+        code = main(["nonident-demo", "--transform", "node", flag, value, "--out", str(out)])
+        _assert_config_error(code, capsys, out)
 
 
 class TestMapDemo:
@@ -303,6 +347,17 @@ class TestDecompose:
         assert [float(r.split(",")[0]) for r in rows[1:]] == [-1.0, 1.0]
 
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--s-w", "0"), ("--s-inner", "3"), ("--s-inner", "5")]
+    )
+    def test_too_few_draws_is_config_error(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr("bnnlv.cli.gen_synthetic", _fails_if_called)
+        out = tmp_path / "dc"
+        code = main(["decompose", "--dataset", "bimodal", "--x-grid", "0:1:3",
+                     flag, value, "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
+
 class TestGrid:
     def test_sweep_and_selection(self, tmp_path):
         cfg_path = tmp_path / "grid.cfg"
@@ -319,13 +374,25 @@ class TestGrid:
         assert scores[summary["best"]] == max(scores)
         assert summary["best_config"]["lambda2"] in (0, 10)
 
+    def test_too_few_eval_samples_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + "lambda2 = [0, 10]\ns_eval = 50\n")
+        out = tmp_path / "gr"
+        code = main(["grid", "--config", str(cfg_path), "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
 
 def test_module_entry_point(tmp_path):
     out = str(tmp_path / "ep")
+    # the child imports the same bnnlv as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bnnlv.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "bnnlv.cli", "gen-data", "--name", "yuan",
          "--sizes", "10,5,5", "--out", out],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out, "train.csv"))

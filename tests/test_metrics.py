@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -301,3 +303,45 @@ class TestComputeReport:
         a = compute_report(q, data, PriorConfig(), s=120, seed=9)
         b = compute_report(q, data, PriorConfig(), s=120, seed=9)
         assert a == b
+
+    def test_one_pass_matches_standalone_metrics(self):
+        # the report's predictive metrics come from the draws the standalone
+        # metrics make at the same seed
+        data = gen_synthetic("heavy_tail", seed=6, sizes=(20, 0, 25))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        q = random_init(arch, 20, seed=2)
+        priors = PriorConfig(sigma2_z=0.5, sigma2_eps=0.1)
+        report = compute_report(q, data, priors, s=300, seed=4)
+        assert report.avg_marginal_ll == avg_marginal_ll(q, data, priors, s=300, seed=4)
+        assert report.rmse == predictive_rmse(q, data, priors, s=300, seed=4)
+        assert (report.picp, report.mpiw) == picp_mpiw(q, data, priors, s=300, seed=4)
+
+    def test_one_draw_per_sample(self):
+        data = gen_synthetic("heavy_tail", seed=7, sizes=(15, 0, 10))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        q = random_init(arch, 15, seed=3)
+        calls = []
+        draw = q.draw_function
+
+        def counted(rng):
+            calls.append(1)
+            return draw(rng)
+
+        q.draw_function = counted
+        compute_report(q, data, PriorConfig(), s=150, seed=0)
+        assert len(calls) == 150
+
+    def test_keeps_at_most_two_sample_blocks(self):
+        # a weight-only model has no latent diagnostics, so the peak is the
+        # predictive pass: the S x N means plus one block beside them
+        arch = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(3,), output_dim=1)
+        q = PointMassWeights(arch, np.random.default_rng(0).standard_normal(arch.param_count))
+        n, s = 400, 500
+        data = _identity_data(n)
+        tracemalloc.start()
+        try:
+            compute_report(q, data, PriorConfig(), s=s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * s * n * 8

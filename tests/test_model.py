@@ -14,10 +14,12 @@ from bnnlv.model import (
     log_prior_w,
     log_prior_z,
     make_x_sampler,
+    predictive_means,
     predictive_sample_matrix,
     sample_dataset,
 )
 from bnnlv.nonident import node_transform
+from bnnlv.vi import random_init
 
 
 def _single_row(x, y):
@@ -185,3 +187,26 @@ class TestPredictive:
         expected = mlp_forward(arch, w, x, np.zeros((1, 1)))[0, 0]
         se = draws.std() / np.sqrt(len(draws))
         assert abs(draws.mean() - expected) <= 3.0 * se
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_means_are_one_s_by_n_by_l_array(self, k):
+        arch = Architecture(input_dim_x=1, input_dim_z=k, hidden_layers=(3,), output_dim=2)
+        q = random_init(arch, 4, seed=0)
+        x = np.linspace(-1.0, 1.0, 7).reshape(-1, 1)
+        means = predictive_means(q, PriorConfig(), x, 5, np.random.default_rng(1))
+        assert isinstance(means, np.ndarray)
+        assert means.shape == (5, 7, 2)
+        # every draw takes its own weights
+        assert not np.array_equal(means[0], means[1])
+
+    def test_noise_is_drawn_after_all_means(self):
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        q = random_init(arch, 4, seed=0)
+        priors = PriorConfig(sigma2_z=0.5, sigma2_eps=0.3)
+        x = np.linspace(-1.0, 1.0, 6).reshape(-1, 1)
+        rng = np.random.default_rng(5)
+        means = predictive_means(q, priors, x, 40, rng)
+        noise = rng.normal(0.0, np.sqrt(0.3), size=means.shape)
+        draws = predictive_sample_matrix(q, priors, x, 40, seed=5)
+        assert draws.shape == (6, 40, 1)
+        np.testing.assert_array_equal(draws, (means + noise).transpose(1, 0, 2))

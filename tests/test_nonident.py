@@ -308,3 +308,11 @@ class TestBiasProbability:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             bias_probability({"kind": "swap"}, [10], 5, self.PRIORS, ("normal", 0.0, 1.0), seed=0)
+
+    @pytest.mark.parametrize("n_values, trials", [([0], 5), ([10, -3], 5), ([10], 0)])
+    def test_rejects_sizes_below_one(self, n_values, trials):
+        with pytest.raises(ConfigError, match="n >= 1"):
+            bias_probability(
+                {"kind": "node", "c": 0.99}, n_values, trials, self.PRIORS, ("normal", 0.0, 1.0),
+                seed=0,
+            )
