@@ -17,7 +17,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, replace
+import typing
+from dataclasses import asdict, fields
 
 import jsonschema
 import numpy as np
@@ -38,15 +39,26 @@ from .vi import MeanFieldPosterior
 # ---------------------------------------------------------------------------
 # config files
 
-_SCALAR_KEYS = {
-    "method", "dataset", "data_seed", "sizes", "distill", "standardize",
-    "train_csv", "val_csv", "test_csv", "n_targets",
-    "hidden", "latent_dim", "leaky_slope",
-    "sigma2_w", "sigma2_z", "sigma2_eps", "ig_alpha", "ig_beta", "eb_w", "eb_z",
-    "lambda1", "lambda2", "lambda3", "eps_t", "eps_x", "eps_y",
-    "learning_rate", "epochs", "restarts", "n_mc", "warm_epochs", "init",
-    "variance_only_first", "convergence_tol", "convergence_window", "batch_size",
-    "s_eval",
+# keys the CLI reads itself; every other key is a field of PriorConfig,
+# NcaiConfig or TrainConfig, or Architecture.leaky_slope
+CLI_KEYS = {
+    "method": str, "dataset": str, "data_seed": int, "sizes": list[int],
+    "distill": bool, "standardize": bool,
+    "train_csv": str, "val_csv": str, "test_csv": str, "n_targets": int,
+    "hidden": list[int], "latent_dim": int, "s_eval": int,
+}
+
+# the CLI's departures from the library defaults; build_experiment also
+# derives latent_dim from the method and the noise priors from the dataset
+CLI_DEFAULTS = {"method": "NCAI", "eb_w": True, "s_eval": 2000}
+
+_LIBRARY_CONFIGS = (PriorConfig, NcaiConfig, TrainConfig)
+
+KEY_TYPES = {
+    **{f.name: typing.get_type_hints(cls)[f.name]
+       for cls in _LIBRARY_CONFIGS for f in fields(cls)},
+    "leaky_slope": typing.get_type_hints(Architecture)["leaky_slope"],
+    **CLI_KEYS,
 }
 
 # keys a grid sweep may hold lists for; `hidden` and `sizes` are structural
@@ -55,6 +67,43 @@ GRID_KEYS = (
     "lambda1", "lambda2", "lambda3", "eps_t", "eps_x", "eps_y",
     "learning_rate", "sigma2_w", "sigma2_z", "sigma2_eps", "n_mc",
 )
+
+
+def _typed(key, value, typ=None):
+    """``value`` as the type of config key ``key`` (or ``typ``), else ConfigError.
+
+    Float keys take any number, int keys an integral one, bool keys only
+    true or false, and a list key takes one value as a one-item list; none
+    passes only where the field allows None.
+    """
+    typ = KEY_TYPES[key] if typ is None else typ
+    if type(None) in typing.get_args(typ):
+        if value is None:
+            return None
+        (typ,) = (a for a in typing.get_args(typ) if a is not type(None))
+    if typing.get_origin(typ) is list:
+        (item,) = typing.get_args(typ)
+        return [_typed(key, v, item) for v in (value if isinstance(value, list) else [value])]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if typ is float and number:
+        return float(value)
+    if typ is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if typ in (bool, str) and isinstance(value, typ):
+        return value
+    raise ConfigError(f"{key} must be {typ.__name__}, got {value!r}")
+
+
+def parse_sizes(value):
+    """(train, val, test) counts from "a,b,c" text or a config list."""
+    sizes = _typed("sizes", _comma_list(value) if isinstance(value, str) else value)
+    if len(sizes) != 3 or min(sizes) < 1:
+        raise ConfigError(f"sizes must be three positive integers, got {value!r}")
+    return tuple(sizes)
+
+
+def _comma_list(text):
+    return [_parse_scalar(s) for s in text.split(",")]
 
 
 def _parse_scalar(tok):
@@ -88,7 +137,7 @@ def parse_config(text):
         key, val = key.strip(), val.strip()
         if not key or not val:
             raise ConfigError(f"config line {lineno}: empty key or value")
-        if key not in _SCALAR_KEYS:
+        if key not in KEY_TYPES:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if val.startswith("["):
             if not val.endswith("]"):
@@ -97,14 +146,16 @@ def parse_config(text):
             cfg[key] = [_parse_scalar(s) for s in items]
         else:
             cfg[key] = _parse_scalar(val)
+        try:  # values stay as written, for the manifest; this only checks them
+            _typed(key, cfg[key], list[KEY_TYPES[key]] if key in GRID_KEYS else None)
+        except ConfigError as e:
+            raise ConfigError(f"config line {lineno}: {e}") from None
     return cfg
 
 
 def expand_grid(cfg):
     """All config cells implied by list-valued sweep keys (product order)."""
     listed = [(k, cfg[k]) for k in GRID_KEYS if isinstance(cfg.get(k), list)]
-    if not listed:
-        return [dict(cfg)]
     cells = []
     for combo in itertools.product(*(vals for _, vals in listed)):
         cell = dict(cfg)
@@ -246,15 +297,14 @@ def _merge_splits(tr, va, te):
 
 def build_dataset(cfg, seed):
     if "dataset" in cfg:
-        sizes = cfg.get("sizes")
         data = gen_synthetic(
             cfg["dataset"],
             seed=cfg.get("data_seed", seed),
-            sizes=tuple(sizes) if sizes else None,
-            distill=bool(cfg.get("distill", False)),
+            sizes=parse_sizes(cfg["sizes"]) if "sizes" in cfg else None,
+            distill=cfg.get("distill", False),
         )
     elif "train_csv" in cfg:
-        n_targets = int(cfg.get("n_targets", 1))
+        n_targets = cfg.get("n_targets", 1)
         parts = [
             load_csv(_require(cfg, key), n_targets)
             for key in ("train_csv", "val_csv", "test_csv")
@@ -268,70 +318,49 @@ def build_dataset(cfg, seed):
 
 
 def build_experiment(cfg, seed):
-    """Turn a flat config dict into (data, arch, priors, ncai_cfg, train_cfg, method)."""
-    method = cfg.get("method", "NCAI")
+    """Turn a flat config dict into (data, arch, priors, ncai_cfg, train_cfg, method, s_eval).
+
+    Keys the config leaves out take the library defaults, apart from
+    CLI_DEFAULTS and the two derived rules below.
+    """
+    cfg = {k: _typed(k, v) for k, v in {**CLI_DEFAULTS, **cfg}.items()}
+    method = cfg["method"]
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose one of {METHODS}")
+    check_interval_samples(cfg["s_eval"])
     data = build_dataset(cfg, seed)
-    hidden = cfg.get("hidden", [50])
-    if isinstance(hidden, int):
-        hidden = [hidden]
-    latent_dim = int(cfg.get("latent_dim", 0 if method == "BNN" else 1))
-    arch = Architecture(
-        input_dim_x=data.input_dim,
-        input_dim_z=latent_dim,
-        hidden_layers=tuple(int(h) for h in hidden),
-        output_dim=data.output_dim,
-        leaky_slope=float(cfg.get("leaky_slope", 0.01)),
-    )
-    sigma2_z = cfg.get("sigma2_z", data.sigma2_z_true)
-    sigma2_eps = cfg.get("sigma2_eps", data.sigma2_eps_true)
-    priors = PriorConfig(
-        sigma2_w=float(cfg.get("sigma2_w", 1.0)),
-        sigma2_z=float(1.0 if sigma2_z is None else sigma2_z),
-        sigma2_eps=float(0.1 if sigma2_eps is None else sigma2_eps),
-        ig_alpha=float(cfg.get("ig_alpha", 3.0)),
-        ig_beta=float(cfg.get("ig_beta", 0.5)),
-        eb_w=bool(cfg.get("eb_w", True)),
-        eb_z=bool(cfg.get("eb_z", cfg.get("sigma2_z", data.sigma2_z_true) is None)),
-    )
-    ncai_cfg = NcaiConfig(
-        lambda1=float(cfg.get("lambda1", 1.0)),
-        lambda2=float(cfg.get("lambda2", 10.0)),
-        lambda3=float(cfg.get("lambda3", 1.0)),
-        eps_t=float(cfg.get("eps_t", 0.01)),
-        eps_x=float(cfg.get("eps_x", 0.5)),
-        eps_y=float(cfg.get("eps_y", 0.1)),
-    )
-    train_cfg = TrainConfig(
-        learning_rate=float(cfg.get("learning_rate", 0.01)),
-        epochs=int(cfg.get("epochs", 3000)),
-        restarts=int(cfg.get("restarts", 10)),
-        n_mc=int(cfg.get("n_mc", 1)),
-        warm_epochs=int(cfg.get("warm_epochs", 2000)),
-        init=str(cfg.get("init", "auto")),
-        variance_only_first=cfg.get("variance_only_first"),
-        convergence_tol=float(cfg.get("convergence_tol", 1e-6)),
-        convergence_window=int(cfg.get("convergence_window", 200)),
-        batch_size=cfg.get("batch_size"),
-    )
-    return data, arch, priors, ncai_cfg, train_cfg, method
+    truth = {"sigma2_z": data.sigma2_z_true, "sigma2_eps": data.sigma2_eps_true}
+    cfg = {
+        "latent_dim": 0 if method == "BNN" else 1,
+        **{k: v for k, v in truth.items() if v is not None},
+        # a latent variance that neither the config nor the data gives is estimated
+        "eb_z": "sigma2_z" not in cfg and truth["sigma2_z"] is None,
+        **cfg,
+    }
+    if "hidden" in cfg:
+        cfg["hidden_layers"] = cfg["hidden"]
+
+    def given(cls):
+        return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+
+    arch = Architecture(input_dim_x=data.input_dim, input_dim_z=cfg["latent_dim"],
+                        output_dim=data.output_dim, **given(Architecture))
+    priors, ncai_cfg, train_cfg = (cls(**given(cls)) for cls in _LIBRARY_CONFIGS)
+    return data, arch, priors, ncai_cfg, train_cfg, method, cfg["s_eval"]
 
 
-def _apply_overrides(cfg, args):
-    cfg = dict(cfg)
-    if getattr(args, "epochs", None) is not None:
-        cfg["epochs"] = args.epochs
-    if getattr(args, "restarts", None) is not None:
-        cfg["restarts"] = args.restarts
+def _read_config(args):
+    """The config file's keys, with --epochs and --restarts laid over them."""
+    with open(args.config) as fh:
+        cfg = parse_config(fh.read())
+    overrides = {k: getattr(args, k) for k in ("epochs", "restarts")}
+    cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
 
 
 def _run_training(cfg, seed, out_dir):
     """Train per config, write the full run directory, return the result dict."""
-    s_eval = int(cfg.get("s_eval", 2000))
-    check_interval_samples(s_eval)
-    data, arch, priors, ncai_cfg, train_cfg, method = build_experiment(cfg, seed)
+    data, arch, priors, ncai_cfg, train_cfg, method, s_eval = build_experiment(cfg, seed)
     q, fin_priors, histories, best = train_restarts(
         data, arch, priors, ncai_cfg, train_cfg, method, seed
     )
@@ -387,7 +416,7 @@ def _write_predictive_grid(out_dir, q, priors, data, s, points=200):
 # commands
 
 def cmd_gen_data(args):
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None
+    sizes = parse_sizes(args.sizes) if args.sizes else None
     data = gen_synthetic(args.name, args.seed, sizes=sizes, distill=args.distill)
     out = args.out
     x_cols = ["x%d" % j for j in range(data.input_dim)]
@@ -424,9 +453,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
-    cfg = _apply_overrides(cfg, args)
+    cfg = _read_config(args)
     for key in GRID_KEYS:
         if isinstance(cfg.get(key), list):
             raise ConfigError(f"{key} is a list; sweeps run through the grid subcommand")
@@ -454,11 +481,12 @@ def _load_model(path):
 
 def cmd_evaluate(args):
     check_interval_samples(args.samples)
+    sizes = parse_sizes(args.sizes) if args.sizes else None
     q, priors, method = _load_model(args.model)
     if args.dataset:
         cfg = {"dataset": args.dataset}
-        if args.sizes:
-            cfg["sizes"] = [int(s) for s in args.sizes.split(",")]
+        if sizes:
+            cfg["sizes"] = list(sizes)
     else:
         cfg = {
             "train_csv": args.train_csv, "val_csv": args.val_csv, "test_csv": args.test_csv,
@@ -477,10 +505,7 @@ def cmd_nonident_demo(args):
     else:
         transform = {"kind": "layer", "t_scale": args.t_scale, "hidden": args.hidden}
     priors = PriorConfig(sigma2_w=args.sigma2_w, sigma2_z=args.sigma2_z)
-    try:
-        n_values = [int(s) for s in args.n.split(",")]
-    except ValueError:
-        raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}") from None
+    n_values = _typed("--n", _comma_list(args.n), list[int])
     records = bias_probability(
         transform,
         n_values,
@@ -502,10 +527,8 @@ def cmd_nonident_demo(args):
 
 
 def cmd_map_demo(args):
-    if args.epochs < 1:
-        raise ConfigError("--epochs must be positive")
-    if args.restarts < 1:
-        raise ConfigError("--restarts must be positive")
+    # built first, so that TrainConfig rejects bad counts before any work
+    opt = TrainConfig(epochs=args.epochs, restarts=args.restarts, learning_rate=args.learning_rate)
     data = gen_synthetic(args.dataset, args.seed, distill=True)
     priors = PriorConfig(
         sigma2_w=args.sigma2_w,
@@ -513,7 +536,6 @@ def cmd_map_demo(args):
         sigma2_eps=data.sigma2_eps_true,
     )
     arch = data.gt_arch
-    opt = TrainConfig(epochs=args.epochs, restarts=1, learning_rate=args.learning_rate)
     seeds = np.random.SeedSequence(args.seed).spawn(args.restarts)
     random_runs = [
         map_estimate(data, priors, arch, init="random", opt_cfg=opt,
@@ -585,9 +607,7 @@ def cmd_decompose(args):
 
 
 def cmd_grid(args):
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
-    cfg = _apply_overrides(cfg, args)
+    cfg = _read_config(args)
     cells = expand_grid(cfg)
     summaries = []
     for i, cell in enumerate(cells):

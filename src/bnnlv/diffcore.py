@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .exceptions import ConfigError
+
 
 def _val(x):
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=np.float64)
@@ -328,15 +330,15 @@ class Architecture:
     def __post_init__(self):
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
         if self.input_dim_x < 1:
-            raise ValueError("input_dim_x must be >= 1")
+            raise ConfigError("input_dim_x must be >= 1")
         if self.input_dim_z < 0:
-            raise ValueError("input_dim_z must be >= 0")
+            raise ConfigError("input_dim_z must be >= 0")
         if self.output_dim < 1:
-            raise ValueError("output_dim must be >= 1")
+            raise ConfigError("output_dim must be >= 1")
         if any(h < 1 for h in self.hidden_layers):
-            raise ValueError("hidden widths must be >= 1")
+            raise ConfigError("hidden widths must be >= 1")
         if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError("leaky_slope must lie in (0, 1)")
+            raise ConfigError("leaky_slope must lie in (0, 1)")
 
     @property
     def input_dim(self):

@@ -26,6 +26,8 @@ from .model import log_joint
 # second-moment optimizer accumulators need.
 _EXP_CAP = 150.0
 
+_HZ_RIDGE = 1e-6  # hz_statistic's covariance ridge, relative to the mean variance
+
 
 @dataclass
 class NcaiConfig:
@@ -37,13 +39,12 @@ class NcaiConfig:
     eps_t: float = 0.01
     eps_x: float = 0.5
     eps_y: float = 0.1
-    cov_ridge: float = 1e-6
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("eps_t", "eps_x", "eps_y", "cov_ridge"):
+        for name in ("eps_t", "eps_x", "eps_y"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -58,7 +59,7 @@ def smooth_exp(u):
     return dc.mul(dc.add(u, 1.0 - _EXP_CAP), float(np.exp(_EXP_CAP)))
 
 
-def hz_statistic(points, ridge_rel=1e-6):
+def hz_statistic(points):
     """Henze-Zirkler multivariate-normality statistic of the rows of ``points``.
 
     Larger values mean stronger departure from a single Gaussian. A small
@@ -78,7 +79,7 @@ def hz_statistic(points, ridge_rel=1e-6):
     xc = dc.add(points, dc.neg(dc.mean_(points, axis=0, keepdims=True)))
     cov = dc.mul(dc.matmul(dc.transpose(xc), xc), 1.0 / n)
     trace = dc.mul(dc.sum_(dc.mul(xc, xc)), 1.0 / n)
-    ridge = dc.add(dc.mul(trace, ridge_rel / p), 1e-12)
+    ridge = dc.add(dc.mul(trace, _HZ_RIDGE / p), 1e-12)
     cov_r = dc.add(cov, dc.mul(ridge, np.eye(p)))
     cov_inv = dc.inverse(cov_r)
 
@@ -166,7 +167,7 @@ def objective_graph(arch, leaves, x, y, priors, cfg, n_mc, seed, batch=None):
     n = x.shape[0]
     mu_z = leaves["mu_z"]
     if cfg.lambda1 > 0.0:
-        hz = hz_statistic(mu_z, cfg.cov_ridge)
+        hz = hz_statistic(mu_z)
         parts["hz"] = hz
         obj = dc.add(obj, dc.mul(smooth_exp(dc.mul(hz, 1.0 / cfg.eps_t)), cfg.lambda1 * n))
     if cfg.lambda2 > 0.0:

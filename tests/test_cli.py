@@ -2,24 +2,30 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import jsonschema
 import numpy as np
 import pytest
 
 import bnnlv
+from bnnlv import cli
 from bnnlv.cli import (
     GAPS_SCHEMA,
     RESULT_SCHEMA,
     _write_csv,
     _write_json,
     _write_text_atomic,
+    build_experiment,
     expand_grid,
     main,
     parse_config,
 )
 from bnnlv.diffcore import Architecture
 from bnnlv.exceptions import ConfigError
+from bnnlv.model import PriorConfig
+from bnnlv.ncai import NcaiConfig
+from bnnlv.train import TrainConfig
 from bnnlv.vi import random_init
 
 
@@ -29,7 +35,7 @@ def _read(path):
 
 
 def _fails_if_called(*args, **kwargs):
-    raise AssertionError("work started before the sample counts were checked")
+    raise AssertionError("work started before the inputs were checked")
 
 
 def _assert_config_error(code, capsys, out):
@@ -70,6 +76,60 @@ class TestParseConfig:
             parse_config("lambda1 = [1, 2\n")
         with pytest.raises(ConfigError, match="empty"):
             parse_config("epochs =\n")
+
+
+def test_every_field_is_a_key():
+    field_names = {f.name for cls in (PriorConfig, NcaiConfig, TrainConfig) for f in fields(cls)}
+    field_names.add("leaky_slope")
+    keys = set(cli.KEY_TYPES)
+    assert field_names <= keys
+    assert keys - field_names == set(cli.CLI_KEYS)
+    assert not field_names & set(cli.CLI_KEYS)
+
+
+def _csv_splits(tmp_path):
+    rows = "x0,y0\n" + "".join(f"{i / 10},{i % 3}\n" for i in range(12))
+    cfg = {}
+    for split in ("train", "val", "test"):
+        (tmp_path / f"{split}.csv").write_text(rows)
+        cfg[f"{split}_csv"] = str(tmp_path / f"{split}.csv")
+    return cfg
+
+
+class TestBuildExperiment:
+    @pytest.mark.parametrize(
+        "cfg, priors, latent_dim",
+        [
+            ({"dataset": "depeweg"}, {"sigma2_z": 1.0, "sigma2_eps": 0.1}, 1),
+            ({"dataset": "bimodal"}, {"sigma2_z": 0.1, "sigma2_eps": 1.0}, 1),
+            ({"csv": True, "sigma2_z": 0.5}, {"sigma2_z": 0.5}, 1),
+            ({"csv": True}, {"eb_z": True}, 1),
+            ({"dataset": "heavy_tail", "method": "BNN"}, {"sigma2_z": 0.01, "sigma2_eps": 0.1}, 0),
+        ],
+        ids=["depeweg", "bimodal", "csv_with_sigma2_z", "csv_without_sigma2_z", "bnn"],
+    )
+    def test_cli_departures(self, tmp_path, cfg, priors, latent_dim):
+        cfg = dict(cfg)
+        if cfg.pop("csv", False):
+            cfg.update(_csv_splits(tmp_path))
+        else:
+            cfg["sizes"] = [20, 5, 5]
+        _, arch, got_priors, ncai_cfg, train_cfg, method, s_eval = build_experiment(cfg, 0)
+        assert got_priors == PriorConfig(eb_w=True, **priors)
+        assert arch == Architecture(input_dim_x=1, input_dim_z=latent_dim)
+        assert s_eval == 2000
+        assert method == cfg.get("method", "NCAI")
+        assert ncai_cfg == NcaiConfig()
+        assert train_cfg == TrainConfig()
+
+    def test_values_take_the_field_type(self):
+        cfg = {"dataset": "depeweg", "sizes": [20, 5, 5], "sigma2_w": 1, "epochs": 1e3,
+               "hidden": 7, "batch_size": None}
+        _, arch, priors, _, train_cfg, _, _ = build_experiment(cfg, 0)
+        assert type(priors.sigma2_w) is float and priors.sigma2_w == 1.0
+        assert type(train_cfg.epochs) is int and train_cfg.epochs == 1000
+        assert arch.hidden_layers == (7,)
+        assert train_cfg.batch_size is None
 
 
 class TestExpandGrid:
@@ -135,6 +195,13 @@ class TestGenData:
         assert "version" in manifest
         # goldberg has no generative latents, so no sidecar
         assert not os.path.exists(os.path.join(out, "latents_train.csv"))
+
+    @pytest.mark.parametrize("sizes", ["10,,5", "10,5"])
+    def test_bad_sizes_are_config_error(self, tmp_path, capsys, monkeypatch, sizes):
+        monkeypatch.setattr("bnnlv.cli.gen_synthetic", _fails_if_called)
+        out = tmp_path / "d"
+        code = main(["gen-data", "--name", "depeweg", "--sizes", sizes, "--out", str(out)])
+        _assert_config_error(code, capsys, out)
 
     def test_rejects_unknown_name(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -206,6 +273,23 @@ class TestTrain:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "eb_w = no", "standardize = no", "variance_only_first = maybe", "sigma2_w = abc",
+            "epochs = 1.5", "epochs = [2, 3]", "batch_size = 2.5", "data_seed = abc",
+            "hidden = abc", "hidden = 0", "leaky_slope = 2", "latent_dim = -1",
+            "sizes = [10, 5]", "sizes = [0, 20, 20]",
+        ],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch, line):
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + line + "\n")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
     def test_too_few_eval_samples_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
         cfg_path = tmp_path / "few.cfg"
@@ -256,6 +340,14 @@ class TestEvaluate:
         out = tmp_path / "e"
         code = main(["evaluate", "--model", str(model), "--dataset", "heavy_tail",
                      "--sizes", "25,8,8", "--samples", "50", "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
+    @pytest.mark.parametrize("sizes", ["10,,5", "10,5"])
+    def test_bad_sizes_are_config_error(self, tmp_path, capsys, monkeypatch, sizes):
+        monkeypatch.setattr("bnnlv.cli._load_model", _fails_if_called)
+        out = tmp_path / "e"
+        code = main(["evaluate", "--model", str(tmp_path / "model.json"), "--dataset",
+                     "heavy_tail", "--sizes", sizes, "--out", str(out)])
         _assert_config_error(code, capsys, out)
 
     def test_latent_row_mismatch_is_config_error(self, tmp_path, capsys):
