@@ -256,15 +256,6 @@ def mean_(a, axis=None, keepdims=False):
     return div(sum_(a, axis=axis, keepdims=keepdims), float(count))
 
 
-def inverse(a):
-    """Matrix inverse of a square 2-D array."""
-    av = _val(a)
-    if av.ndim != 2 or av.shape[0] != av.shape[1]:
-        raise ValueError("inverse expects a square matrix")
-    out = np.linalg.inv(av)
-    return _op("inverse", out, (a, lambda g, o=out: -o.T @ g @ o.T))
-
-
 def gaussian_reparam(mu, rho, eps):
     """Reparameterized Gaussian draw mu + softplus(rho) * eps."""
     return add(mu, mul(softplus(rho), eps))

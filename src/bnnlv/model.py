@@ -36,9 +36,9 @@ class PriorConfig:
 
     def __post_init__(self):
         for name in ("sigma2_w", "sigma2_z", "sigma2_eps", "ig_beta"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.ig_alpha <= 1.0:
+        if not self.ig_alpha > 1.0:
             raise ConfigError(f"ig_alpha must exceed 1, got {self.ig_alpha}")
 
 

@@ -27,6 +27,7 @@ from .model import log_joint
 _EXP_CAP = 150.0
 
 _HZ_RIDGE = 1e-6  # hz_statistic's covariance ridge, relative to the mean variance
+_HZ_CHUNK = 256  # rows of the pairwise kernel hz_statistic holds at once
 
 
 @dataclass
@@ -42,10 +43,10 @@ class NcaiConfig:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("eps_t", "eps_x", "eps_y"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
@@ -66,6 +67,10 @@ def hz_statistic(points):
     ridge proportional to the covariance trace (with a tiny absolute floor)
     keeps the standardization invertible when the rows collapse to a
     cluster, which happens at the start of training.
+
+    One tape op with a hand-derived gradient. The N x N kernel
+    ``E = exp(-b^2/2 * d_jk)`` is built ``_HZ_CHUNK`` rows at a time and only
+    its row sums and ``E @ xc`` are kept, so memory is O(N * _HZ_CHUNK).
     """
     pv = dc._val(points)
     if pv.ndim != 2:
@@ -76,27 +81,48 @@ def hz_statistic(points):
     if p < 1:
         raise ValueError("need at least one column")
 
-    xc = dc.add(points, dc.neg(dc.mean_(points, axis=0, keepdims=True)))
-    cov = dc.mul(dc.matmul(dc.transpose(xc), xc), 1.0 / n)
-    trace = dc.mul(dc.sum_(dc.mul(xc, xc)), 1.0 / n)
-    ridge = dc.add(dc.mul(trace, _HZ_RIDGE / p), 1e-12)
-    cov_r = dc.add(cov, dc.mul(ridge, np.eye(p)))
-    cov_inv = dc.inverse(cov_r)
-
-    t = dc.matmul(xc, cov_inv)
-    dj = dc.sum_(dc.mul(xc, t), axis=1)
-    cross = dc.matmul(t, dc.transpose(xc))
-    djk = dc.add(
-        dc.add(dc.reshape(dj, (n, 1)), dc.reshape(dj, (1, n))), dc.mul(cross, -2.0)
-    )
+    xc = pv - pv.mean(axis=0)
+    ridge_rel = _HZ_RIDGE / p
+    cov = xc.T @ xc / n + (ridge_rel * np.sum(xc * xc) / n + 1e-12) * np.eye(p)
+    a = np.linalg.inv(cov)
+    t = xc @ a
+    dj = np.sum(xc * t, axis=1)
 
     b2 = (((2 * p + 1) / 4.0) ** (1.0 / (p + 4)) * n ** (1.0 / (p + 4)) / np.sqrt(2.0)) ** 2
-    term1 = dc.mul(dc.sum_(dc.exp(dc.mul(djk, -b2 / 2.0))), 1.0 / (n * n))
+    # one pass over row chunks of E = exp(-b2/2 * (d_j + d_k - 2 M_jk)), M = xc A xc^T;
+    # E @ [1, xc] gives the row sums and E @ xc in one product
+    ones_xc = np.hstack([np.ones((n, 1)), xc])
+    e_ones_xc = np.empty((n, p + 1))
+    buf = np.empty((min(_HZ_CHUNK, n), n))
+    for lo in range(0, n, _HZ_CHUNK):
+        hi = min(lo + _HZ_CHUNK, n)
+        blk = np.matmul(t[lo:hi], xc.T, out=buf[: hi - lo])
+        blk *= -2.0
+        blk += dj[lo:hi, None]
+        blk += dj[None, :]
+        blk *= -b2 / 2.0
+        np.exp(blk, out=blk)
+        e_ones_xc[lo:hi] = blk @ ones_xc
+    rowsum, ex = e_ones_xc[:, 0], e_ones_xc[:, 1:]
+
     coef2 = 2.0 * (1.0 + b2) ** (-p / 2.0) / n
-    term2 = dc.mul(dc.sum_(dc.exp(dc.mul(dj, -b2 / (2.0 * (1.0 + b2))))), coef2)
+    c2 = b2 / (2.0 * (1.0 + b2))
+    e2 = np.exp(-c2 * dj)
     term3 = (1.0 + 2.0 * b2) ** (-p / 2.0)
-    out = dc.mul(dc.add(dc.add(term1, dc.neg(term2)), term3), float(n))
-    return out if isinstance(out, dc.Node) else float(out)
+    out = float(n * (rowsum.sum() / (n * n) - coef2 * e2.sum() + term3))
+
+    def vjp(g):
+        # dHZ/dM = diag(h) - 2k E, back through M = xc A xc^T, A = C^-1,
+        # C = xc^T xc / n + ridge I, and the centring
+        k = -b2 / (2.0 * n)
+        h = 2.0 * k * rowsum + n * coef2 * c2 * e2
+        gm_xc = h[:, None] * xc - 2.0 * k * ex
+        g_a = xc.T @ gm_xc
+        g_c = -a @ g_a @ a
+        g_xc = 2.0 * gm_xc @ a + (2.0 / n) * xc @ g_c + (2.0 * ridge_rel / n * np.trace(g_c)) * xc
+        return g * (g_xc - g_xc.mean(axis=0))
+
+    return dc._op("hz", out, (points, vjp))
 
 
 def offdiag_penalty(points):

@@ -36,7 +36,7 @@ class TrainConfig:
     batch_size: int | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")

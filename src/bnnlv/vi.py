@@ -95,8 +95,9 @@ class MeanFieldPosterior:
     @classmethod
     def from_dict(cls, d):
         arch = Architecture(**d["arch"])
-        mu_z = np.asarray(d["mu_z"], dtype=np.float64).reshape(-1, arch.input_dim_z)
-        rho_z = np.asarray(d["rho_z"], dtype=np.float64).reshape(-1, arch.input_dim_z)
+        # one row per training point, also when the rows are empty (no latent inputs)
+        mu_z = np.asarray(d["mu_z"], dtype=np.float64).reshape(len(d["mu_z"]), arch.input_dim_z)
+        rho_z = np.asarray(d["rho_z"], dtype=np.float64).reshape(len(d["rho_z"]), arch.input_dim_z)
         return cls(arch, np.asarray(d["mu_w"]), np.asarray(d["rho_w"]), mu_z, rho_z)
 
 

@@ -1,9 +1,13 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written the slow, obvious way and shares
-no code with the implementations under test.
+no code with the implementations under test, except ``composite_hz_statistic``,
+which composes the generic tape ops to give a gradient reference for the
+fused Henze-Zirkler op.
 """
 import numpy as np
+
+from bnnlv import diffcore as dc
 
 
 def finite_diff_grad(f, x, h=1e-5):
@@ -95,6 +99,36 @@ def naive_hz_statistic(points, ridge_rel=1e-6, ridge_floor=1e-12):
     term2 *= 2.0 * (1.0 + b**2) ** (-p / 2.0) / n
     term3 = (1.0 + 2.0 * b**2) ** (-p / 2.0)
     return n * (term1 - term2 + term3)
+
+
+def _tape_inverse(a):
+    """Matrix inverse of a square 2-D array as a tape op."""
+    out = np.linalg.inv(dc._val(a))
+    return dc._op("inverse", out, (a, lambda g, o=out: -o.T @ g @ o.T))
+
+
+def composite_hz_statistic(points, ridge_rel=1e-6):
+    """Henze-Zirkler statistic built from generic tape ops, N x N arrays and all."""
+    n, p = dc._val(points).shape
+    xc = dc.add(points, dc.neg(dc.mean_(points, axis=0, keepdims=True)))
+    cov = dc.mul(dc.matmul(dc.transpose(xc), xc), 1.0 / n)
+    trace = dc.mul(dc.sum_(dc.mul(xc, xc)), 1.0 / n)
+    ridge = dc.add(dc.mul(trace, ridge_rel / p), 1e-12)
+    cov_inv = _tape_inverse(dc.add(cov, dc.mul(ridge, np.eye(p))))
+
+    t = dc.matmul(xc, cov_inv)
+    dj = dc.sum_(dc.mul(xc, t), axis=1)
+    cross = dc.matmul(t, dc.transpose(xc))
+    djk = dc.add(
+        dc.add(dc.reshape(dj, (n, 1)), dc.reshape(dj, (1, n))), dc.mul(cross, -2.0)
+    )
+
+    b2 = (((2 * p + 1) / 4.0) ** (1.0 / (p + 4)) * n ** (1.0 / (p + 4)) / np.sqrt(2.0)) ** 2
+    term1 = dc.mul(dc.sum_(dc.exp(dc.mul(djk, -b2 / 2.0))), 1.0 / (n * n))
+    coef2 = 2.0 * (1.0 + b2) ** (-p / 2.0) / n
+    term2 = dc.mul(dc.sum_(dc.exp(dc.mul(dj, -b2 / (2.0 * (1.0 + b2))))), coef2)
+    term3 = (1.0 + 2.0 * b2) ** (-p / 2.0)
+    return dc.mul(dc.add(dc.add(term1, dc.neg(term2)), term3), float(n))
 
 
 def naive_ks_statistic(a, b):

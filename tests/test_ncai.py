@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from bnnlv.diffcore import Architecture, mlp_forward
 from bnnlv.exceptions import ConfigError, DivergenceError
 from bnnlv.model import PriorConfig
 from bnnlv.ncai import (
+    _HZ_CHUNK,
     NcaiConfig,
     fit_point_mlp,
     hz_statistic,
@@ -19,31 +22,9 @@ from bnnlv.ncai import (
 )
 from bnnlv.train import TrainConfig
 from bnnlv.vi import elbo, random_init
+from oracles import composite_hz_statistic, finite_diff_coord, naive_hz_statistic, rel_err
 
 CAP = 150.0
-
-
-def naive_hz(x, ridge_rel=1e-6):
-    """Slow reference: the same statistic with explicit pairwise loops."""
-    x = np.asarray(x, dtype=np.float64)
-    n, p = x.shape
-    xc = x - x.mean(axis=0)
-    cov = xc.T @ xc / n
-    ridge = np.sum(xc * xc) / n * ridge_rel / p + 1e-12
-    cinv = np.linalg.inv(cov + ridge * np.eye(p))
-    b2 = (((2 * p + 1) / 4.0) ** (1.0 / (p + 4)) * n ** (1.0 / (p + 4)) / np.sqrt(2.0)) ** 2
-    t1 = 0.0
-    for j in range(n):
-        for k in range(n):
-            d = xc[j] - xc[k]
-            t1 += np.exp(-0.5 * b2 * d @ cinv @ d)
-    t1 /= n * n
-    t2 = 0.0
-    for j in range(n):
-        t2 += np.exp(-b2 / (2.0 * (1.0 + b2)) * xc[j] @ cinv @ xc[j])
-    t2 *= 2.0 * (1.0 + b2) ** (-p / 2.0) / n
-    t3 = (1.0 + 2.0 * b2) ** (-p / 2.0)
-    return n * (t1 - t2 + t3)
 
 
 class TestSmoothExp:
@@ -71,12 +52,21 @@ class TestSmoothExp:
         assert np.isfinite(val * val)
 
 
+def _hz_grads(pts):
+    """Value and gradient of the fused op and of the composite oracle."""
+    fused, ref = dc.leaf(pts), dc.leaf(pts)
+    out, ref_out = hz_statistic(fused), composite_hz_statistic(ref)
+    dc.backward(out)
+    dc.backward(ref_out)
+    return float(out.value), fused.grad, float(ref_out.value), ref.grad
+
+
 class TestHz:
     def test_matches_pairwise_reference(self):
         rng = np.random.default_rng(0)
         for n, p in ((40, 1), (60, 2), (30, 3)):
             pts = rng.standard_normal((n, p))
-            assert float(hz_statistic(pts)) == pytest.approx(naive_hz(pts), abs=1e-10)
+            assert float(hz_statistic(pts)) == pytest.approx(naive_hz_statistic(pts), abs=1e-10)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(1)
@@ -96,7 +86,14 @@ class TestHz:
 
     def test_collapsed_cluster_is_finite(self):
         pts = np.full((50, 2), 0.37)
-        assert np.isfinite(float(hz_statistic(pts)))
+        val, grad, ref_val, ref_grad = _hz_grads(pts)
+        assert np.isfinite(val) and val == pytest.approx(ref_val, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, atol=1e-15)
+        # a cluster collapsed to within the ridge, as at the start of training
+        pts = pts + 1e-7 * np.random.default_rng(4).standard_normal(pts.shape)
+        val, grad, ref_val, ref_grad = _hz_grads(pts)
+        assert val == pytest.approx(ref_val, rel=1e-10)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-7, atol=1e-9 * np.abs(ref_grad).max())
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -114,8 +111,40 @@ class TestHz:
         eps = 1e-6
         bumped = pts.copy()
         bumped[3, 1] += eps
-        fd = (naive_hz(bumped) - naive_hz(pts)) / eps
+        fd = (naive_hz_statistic(bumped) - naive_hz_statistic(pts)) / eps
         assert g[3, 1] == pytest.approx(fd, rel=1e-3)
+
+
+class TestHzFused:
+    @pytest.mark.parametrize("n", [20, 2 * _HZ_CHUNK + 1], ids=["one_chunk", "ragged_chunks"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_composite_and_finite_differences(self, n, p):
+        rng = np.random.default_rng(10 * n + p)
+        pts = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p) + 1.0
+        val, grad, ref_val, ref_grad = _hz_grads(pts)
+        assert val == pytest.approx(ref_val, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-11 * np.abs(ref_grad).max())
+        f = lambda v: hz_statistic(v.reshape(n, p))
+        for i in rng.choice(n * p, size=min(n * p, 10), replace=False):
+            assert rel_err(grad.flat[i], finite_diff_coord(f, pts.ravel(), i)) <= 1e-5
+
+    def test_one_tape_node(self):
+        leaf = dc.leaf(np.random.default_rng(5).standard_normal((30, 2)))
+        out = hz_statistic(leaf)
+        assert out.op == "hz" and out._parents == (leaf,)
+        assert type(hz_statistic(leaf.value)) is float
+
+    def test_no_n_by_n_buffer(self):
+        # one float64 N x N block at N = 10 000 is 800 MB
+        leaf = dc.leaf(np.random.default_rng(6).standard_normal((10_000, 1)))
+        tracemalloc.start()
+        try:
+            dc.backward(hz_statistic(leaf))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(leaf.grad))
+        assert peak < 60e6
 
 
 class TestOffdiag:

@@ -86,16 +86,18 @@ class TestPosterior:
         assert q.mu_z.shape == (6, 0)
 
     def test_dict_roundtrip(self):
-        arch = Architecture(
-            input_dim_x=2, input_dim_z=1, hidden_layers=(3, 2), output_dim=1, leaky_slope=0.2
-        )
-        q = random_init(arch, 4, seed=3)
-        # in memory, and through JSON as model.json stores it
-        for d in (q.to_dict(), json.loads(json.dumps(q.to_dict()))):
-            back = MeanFieldPosterior.from_dict(d)
-            assert back.arch == q.arch
-            for u, v in zip(q.params(), back.params()):
-                assert np.array_equal(u, v)
+        # with latent inputs, and without (empty latent blocks)
+        for k in (1, 0):
+            arch = Architecture(
+                input_dim_x=2, input_dim_z=k, hidden_layers=(3, 2), output_dim=1, leaky_slope=0.2
+            )
+            q = random_init(arch, 4, seed=3)
+            # in memory, and through JSON as model.json stores it
+            for d in (q.to_dict(), json.loads(json.dumps(q.to_dict()))):
+                back = MeanFieldPosterior.from_dict(d)
+                assert back.arch == q.arch
+                for u, v in zip(q.params(), back.params()):
+                    assert u.shape == v.shape and np.array_equal(u, v)
 
     def test_draws_deterministic_given_rng(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(2,), output_dim=1)
