@@ -4,7 +4,7 @@ diagnostics, and entropy-based uncertainty decomposition.
 Predictive metrics draw latents from the prior, matching how the model is
 used on new points. Latent diagnostics operate on the trained variational
 means. Mutual information and entropy use k-nearest-neighbor estimators
-under the Chebyshev norm.
+under the Chebyshev norm, searched with k-d trees.
 """
 from __future__ import annotations
 
@@ -72,16 +72,19 @@ def avg_marginal_ll(q_w, data, priors, which="test", s=2000, seed=0):
 
     Draws weights from ``q_w`` and latents from the prior, takes the mean
     of log p(y|x,W,z) over the S joint draws, then averages over points.
+    By Jensen this is a lower bound on the log predictive density, which
+    ``marginal_ll_lme`` estimates. The c08 gate, restart selection
+    (``train.restart_select``) and ``bnnlv grid`` all score with this bound.
     """
     y, means, _ = _draw_means(q_w, data, priors, which, s, seed)
     return float(np.mean(_logp_matrix(means, y, priors.sigma2_eps)))
 
 
 def marginal_ll_lme(q_w, data, priors, which="test", s=2000, seed=0):
-    """Diagnostic variant: log of the Monte Carlo mean likelihood per point.
+    """Monte Carlo log predictive density: log of the mean likelihood per point.
 
     Upper-bounds avg_marginal_ll (Jensen); equal for predictives that do
-    not vary across draws.
+    not vary across draws. Only a diagnostic: nothing selects or gates on it.
     """
     y, means, _ = _draw_means(q_w, data, priors, which, s, seed)
     logp = _logp_matrix(means, y, priors.sigma2_eps)
@@ -120,23 +123,19 @@ def picp_mpiw(q_w, data, priors, which="test", s=2000, seed=0, level=0.95):
     return _interval(predictive_sample_matrix(q_w, priors, view.x, s, seed), view.y, level)
 
 
-def _chebyshev_pairwise(a):
-    return np.max(np.abs(a[:, None, :] - a[None, :, :]), axis=2)
-
-
 def kraskov_mi(a, b, k=5):
     """Kraskov-Stoegbauer-Grassberger mutual information estimate (nats).
 
     Variant 1 with Chebyshev distances and strict inequality in the
     marginal counts. Inputs are jittered to break ties, so exact duplicates
-    do not collapse the neighborhood radius to zero.
+    do not collapse the neighborhood radius to zero. k-d trees find each
+    point's k-th joint neighbour and count the marginal neighbours inside
+    it, so time is O(N log N) and memory O(N).
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.ndim == 2 and a.shape[0] == 1 and a.shape[1] > 1:
-        a = a.T
-    if b.ndim == 2 and b.shape[0] == 1 and b.shape[1] > 1:
-        b = b.T
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a = a[:, None] if a.ndim == 1 else a
+    b = b[:, None] if b.ndim == 1 else b
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError("a and b must have the same number of rows")
@@ -144,15 +143,14 @@ def kraskov_mi(a, b, k=5):
         raise ValueError(f"need more than k={k} points, got {n}")
     a = _tie_jitter(a, seed=0)
     b = _tie_jitter(b, seed=1)
-    da = _chebyshev_pairwise(a)
-    db = _chebyshev_pairwise(b)
-    joint = np.maximum(da, db)
-    np.fill_diagonal(joint, np.inf)
-    eps = np.partition(joint, k - 1, axis=1)[:, k - 1]
-    np.fill_diagonal(da, np.inf)
-    np.fill_diagonal(db, np.inf)
-    nx = np.sum(da < eps[:, None], axis=1)
-    ny = np.sum(db < eps[:, None], axis=1)
+    joint = np.hstack([a, b])
+    # the max norm of a joint row is the larger of its two marginal ones; each
+    # point is its own nearest neighbour, so column k is its k-th other one
+    eps = cKDTree(joint).query(joint, k=k + 1, p=np.inf)[0][:, k]
+    # the largest radius below eps keeps the count strict; minus the point itself
+    r = np.nextafter(eps, 0.0)
+    nx = cKDTree(a).query_ball_point(a, r, p=np.inf, return_length=True) - 1
+    ny = cKDTree(b).query_ball_point(b, r, p=np.inf, return_length=True) - 1
     return float(digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1)))
 
 
@@ -244,7 +242,8 @@ def compute_report(q_w, data, priors, method="NCAI", which="test", s=2000, seed=
     """
     check_interval_samples(s)
     # one predictive pass: the interval draws add noise to the means in
-    # place, and the block is freed before the N x N latent diagnostics
+    # place, and the block is freed before the latent diagnostics; none of
+    # them holds an N x N array (KSG is O(N), HZ and JS work in row chunks)
     y, means, rng = _draw_means(q_w, data, priors, which, s, seed)
     avg_ll = float(np.mean(_logp_matrix(means, y, priors.sigma2_eps)))
     rmse = _rmse(means, y)

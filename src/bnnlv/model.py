@@ -36,10 +36,10 @@ class PriorConfig:
 
     def __post_init__(self):
         for name in ("sigma2_w", "sigma2_z", "sigma2_eps", "ig_beta"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.ig_alpha > 1.0:
-            raise ConfigError(f"ig_alpha must exceed 1, got {self.ig_alpha}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 1.0 < self.ig_alpha < np.inf:
+            raise ConfigError(f"ig_alpha must be finite and > 1, got {self.ig_alpha}")
 
 
 def _scalar(x):

@@ -43,11 +43,11 @@ class NcaiConfig:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in ("eps_t", "eps_x", "eps_y"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     @property
     def penalty_free(self):

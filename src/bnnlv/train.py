@@ -36,8 +36,8 @@ class TrainConfig:
     batch_size: int | None = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.restarts < 1:
@@ -48,8 +48,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.convergence_window < 1:
             raise ConfigError(f"convergence_window must be >= 1, got {self.convergence_window}")
-        if not self.convergence_tol >= 0.0:
-            raise ConfigError(f"convergence_tol must be non-negative, got {self.convergence_tol}")
+        if not 0.0 <= self.convergence_tol < np.inf:
+            raise ConfigError(f"convergence_tol must be finite and >= 0, got {self.convergence_tol}")
 
 
 def adam_init(params):

@@ -17,6 +17,8 @@ from .diffcore import Architecture
 from .exceptions import ConfigError
 from .model import log_likelihood
 
+_LOGPDF_CHUNK = 64  # rows of points aggregated_posterior_logpdf scores at once
+
 
 @dataclass
 class MeanFieldPosterior:
@@ -222,6 +224,7 @@ def aggregated_posterior_logpdf(q, points):
     """Log density of the equal-weight mixture of all per-point latent factors.
 
     ``points`` is (M, K) or a single (K,) point; returns (M,) or a float.
+    Memory is O(_LOGPDF_CHUNK * N) for N components.
     """
     if q.input_dim_z == 0:
         raise ValueError("posterior has no latent block")
@@ -232,8 +235,13 @@ def aggregated_posterior_logpdf(q, points):
         raise ValueError(f"points must have {q.input_dim_z} columns")
     mu = q.mu_z
     var = np.asarray(q.sigma_z) ** 2
-    # (M, N): per-component log density summed over coordinates
-    diff = pts[:, None, :] - mu[None, :, :]
-    comp = -0.5 * np.sum(diff * diff / var[None, :, :] + np.log(2.0 * np.pi * var)[None], axis=2)
-    out = logsumexp(comp, axis=1) - np.log(mu.shape[0])
+    log_norm = np.log(2.0 * np.pi * var)
+    out = np.empty(pts.shape[0])
+    # (rows, N) component log densities, summed over coordinates; each row's
+    # logsumexp is independent of the others, so chunks change no value
+    for lo in range(0, pts.shape[0], _LOGPDF_CHUNK):
+        diff = pts[lo : lo + _LOGPDF_CHUNK, None, :] - mu[None, :, :]
+        comp = -0.5 * np.sum(diff * diff / var + log_norm, axis=2)
+        out[lo : lo + _LOGPDF_CHUNK] = logsumexp(comp, axis=1)
+    out -= np.log(mu.shape[0])
     return float(out[0]) if single else out

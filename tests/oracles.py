@@ -3,9 +3,11 @@
 Everything here is deliberately written the slow, obvious way and shares
 no code with the implementations under test, except ``composite_hz_statistic``,
 which composes the generic tape ops to give a gradient reference for the
-fused Henze-Zirkler op.
+fused Henze-Zirkler op. The dense estimators hold every pairwise N x N (or
+M x N) array and check the k-d tree and row-chunked versions.
 """
 import numpy as np
+from scipy.special import digamma, logsumexp
 
 from bnnlv import diffcore as dc
 
@@ -129,6 +131,45 @@ def composite_hz_statistic(points, ridge_rel=1e-6):
     term2 = dc.mul(dc.sum_(dc.exp(dc.mul(dj, -b2 / (2.0 * (1.0 + b2))))), coef2)
     term3 = (1.0 + 2.0 * b2) ** (-p / 2.0)
     return dc.mul(dc.add(dc.add(term1, dc.neg(term2)), term3), float(n))
+
+
+def _jitter(a, seed):
+    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    return a + 1e-10 * scale * np.random.default_rng(seed).standard_normal(a.shape)
+
+
+def _chebyshev_pairwise(a):
+    d = np.abs(a[:, None, 0] - a[None, :, 0])
+    for c in range(1, a.shape[1]):
+        np.maximum(d, np.abs(a[:, None, c] - a[None, :, c]), out=d)
+    return d
+
+
+def dense_kraskov_mi(a, b, k=5):
+    """KSG mutual information from full N x N Chebyshev distance matrices,
+    with the tie jitter ``metrics.kraskov_mi`` applies."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a = _jitter(a[:, None] if a.ndim == 1 else a, seed=0)
+    b = _jitter(b[:, None] if b.ndim == 1 else b, seed=1)
+    n = a.shape[0]
+    da, db = _chebyshev_pairwise(a), _chebyshev_pairwise(b)
+    joint = np.maximum(da, db)
+    np.fill_diagonal(joint, np.inf)
+    eps = np.partition(joint, k - 1, axis=1)[:, k - 1]
+    np.fill_diagonal(da, np.inf)
+    np.fill_diagonal(db, np.inf)
+    nx = np.sum(da < eps[:, None], axis=1)
+    ny = np.sum(db < eps[:, None], axis=1)
+    return float(digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1)))
+
+
+def dense_mixture_logpdf(mu, var, points):
+    """Log density of the equal-weight Gaussian mixture with diagonal
+    components (mu, var), from the full (M, N) component matrix."""
+    diff = points[:, None, :] - mu[None, :, :]
+    comp = -0.5 * np.sum(diff * diff / var[None, :, :] + np.log(2.0 * np.pi * var)[None], axis=2)
+    return logsumexp(comp, axis=1) - np.log(mu.shape[0])
 
 
 def naive_ks_statistic(a, b):

@@ -38,6 +38,13 @@ def _fails_if_called(*args, **kwargs):
     raise AssertionError("work started before the inputs were checked")
 
 
+# each float config key with each non-finite value
+NON_FINITE = [
+    (k, v) for k in sorted(k for k, t in cli.KEY_TYPES.items() if t is float)
+    for v in ("nan", "inf", "-inf")
+]
+
+
 def _assert_config_error(code, capsys, out):
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
@@ -290,11 +297,13 @@ class TestTrain:
         code = main(["train", "--config", str(cfg_path), "--out", str(out)])
         _assert_config_error(code, capsys, out)
 
-    @pytest.mark.parametrize("key", sorted(k for k, t in cli.KEY_TYPES.items() if t is float))
-    def test_nan_is_config_error(self, tmp_path, capsys, monkeypatch, key):
+    @pytest.mark.parametrize(
+        "key,value", NON_FINITE, ids=[k if v == "nan" else f"{k}-{v}" for k, v in NON_FINITE]
+    )
+    def test_nan_is_config_error(self, tmp_path, capsys, monkeypatch, key, value):
         monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
         cfg_path = tmp_path / "nan.cfg"
-        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + f"{key} = nan\n")
+        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + f"{key} = {value}\n")
         out = tmp_path / "o"
         code = main(["train", "--config", str(cfg_path), "--out", str(out)])
         _assert_config_error(code, capsys, out)

@@ -26,6 +26,7 @@ from bnnlv.model import FixedFunction, PointMassWeights, PriorConfig
 from bnnlv.nonident import y_encoding_transform
 from bnnlv.train import TrainConfig, train
 from bnnlv.vi import MeanFieldPosterior, random_init
+from oracles import dense_kraskov_mi
 
 LINEAR = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(), output_dim=1)
 
@@ -168,6 +169,39 @@ class TestKraskovMi:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             kraskov_mi(np.zeros(4), np.zeros(4), k=5)
+
+    def test_one_row_matrix_is_one_point(self):
+        # a (1, d) matrix is one point in d dimensions, not d points
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="need more than"):
+            kraskov_mi(rng.normal(size=(1, 6)), rng.normal(size=(1, 6)))
+
+    @pytest.mark.parametrize("n", [6, 300, 3000])
+    @pytest.mark.parametrize("shape", ["1d", "2col"])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_dense_oracle_exactly(self, n, shape, ties):
+        rng = np.random.default_rng(n)
+        size = (n, 2) if shape == "2col" else n
+        a = rng.standard_normal(size)
+        b = a + rng.standard_normal(size)
+        if ties:
+            # coarse rounding makes many exact duplicates before the jitter
+            a, b = np.round(a, 1), np.round(b)
+        assert kraskov_mi(a, b) == dense_kraskov_mi(a, b)
+        assert kraskov_mi(a, b, k=1) == dense_kraskov_mi(a, b, k=1)
+
+    def test_memory_is_linear_in_n(self):
+        # the dense estimator would hold several 20 000 x 20 000 arrays (3.2 GB each)
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal(20_000)
+        b = a + rng.standard_normal(20_000)
+        tracemalloc.start()
+        try:
+            kraskov_mi(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestKsTwoSample:
@@ -345,3 +379,19 @@ class TestComputeReport:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * s * n * 8
+
+    def test_latent_diagnostics_hold_no_n_by_n_array(self):
+        # at N_train = 5000 one N x N float array is 200 MB; the report's
+        # predictive pass is small here (S = 100 on 10 test points)
+        n = 5000
+        data = gen_synthetic("heavy_tail", seed=8, sizes=(n, 0, 10))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        q = random_init(arch, n, seed=4)
+        tracemalloc.start()
+        try:
+            report = compute_report(q, data, PriorConfig(), s=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.mi_x_z is not None and report.js_z_prior is not None
+        assert peak < 40e6

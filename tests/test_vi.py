@@ -10,12 +10,14 @@ from bnnlv.diffcore import Architecture, softplus
 from bnnlv.exceptions import ConfigError
 from bnnlv.model import PriorConfig
 from bnnlv.vi import (
+    _LOGPDF_CHUNK,
     MeanFieldPosterior,
     aggregated_posterior_logpdf,
     elbo,
     kl_diag_gaussian,
     random_init,
 )
+from oracles import dense_mixture_logpdf
 
 
 def _softplus_inv(s):
@@ -237,3 +239,14 @@ class TestAggregatedPosterior:
         q0 = random_init(arch0, 3, seed=0)
         with pytest.raises(ValueError, match="latent"):
             aggregated_posterior_logpdf(q0, np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("m", [1, 2 * _LOGPDF_CHUNK + 1, 2000])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_row_chunks_match_dense_oracle_exactly(self, m, k):
+        # rows are independent, so scoring them in chunks (the last one
+        # ragged) changes no bit of any value
+        arch = Architecture(input_dim_x=1, input_dim_z=k, hidden_layers=(2,), output_dim=1)
+        q = random_init(arch, 300, seed=m)
+        pts = np.random.default_rng(m).standard_normal((m, k))
+        got = aggregated_posterior_logpdf(q, pts)
+        assert np.array_equal(got, dense_mixture_logpdf(q.mu_z, np.asarray(q.sigma_z) ** 2, pts))
