@@ -16,6 +16,7 @@ from .data import DataSet, ground_truth_fn
 from .exceptions import ConfigError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+_DRAW_CHUNK = 4  # predictive draws per forward pass in predictive_means
 
 
 @dataclass
@@ -50,17 +51,19 @@ def log_likelihood(arch, w, Z, x, y, sigma2_eps):
     """Gaussian log-likelihood of the rows of (x, y) under weights ``w``.
 
     ``Z`` rows align with the rows of ``x``; pass None for architectures
-    without latent inputs. Returns nats (a Node when w or Z is a Node).
+    without latent inputs. With a block of C weight draws ``w`` (C, P) and
+    latents ``Z`` (C, N, K), this is the sum of the C draws'
+    log-likelihoods from one forward pass. Returns nats (a Node when w or
+    Z is a Node).
     """
     if sigma2_eps <= 0.0:
         raise ValueError(f"sigma2_eps must be positive, got {sigma2_eps}")
-    n, l = x.shape[0], y.shape[1]
-    if n == 0:
+    if x.shape[0] == 0:
         return 0.0
     pred = dc.mlp_forward(arch, w, x, Z if arch.input_dim_z > 0 else None)
     resid = dc.add(pred, -y)
     ssq = dc.sum_(dc.mul(resid, resid))
-    const = 0.5 * n * l * (LOG_2PI + np.log(sigma2_eps))
+    const = 0.5 * np.size(dc._val(resid)) * (LOG_2PI + np.log(sigma2_eps))
     return _scalar(dc.add(dc.mul(ssq, -0.5 / sigma2_eps), -const))
 
 
@@ -161,6 +164,9 @@ class PointMassWeights:
         self.input_dim_z = arch.input_dim_z
         self.output_dim = arch.output_dim
 
+    def draw_weights(self, rng):
+        return self.w
+
     def draw_function(self, rng):
         arch, w = self.arch, self.w
         return lambda x, z=None: dc.mlp_forward(arch, w, x, z)
@@ -185,13 +191,29 @@ def predictive_means(q_w, priors, X, S, rng):
     from the prior p(z), never from trained per-point posteriors (z is None
     when the model has no latent inputs). This is the only loop over
     predictive draws; every predictive sampler and metric reads its array.
+    A posterior with weights (``draw_weights``) runs ``_DRAW_CHUNK`` draws
+    per forward pass; a ``FixedFunction`` is called once per draw. Either
+    way the rng gives each draw its weights, then its latents, in draw
+    order, so the chunking changes no value.
     """
     n, k = X.shape[0], q_w.input_dim_z
+    sd_z = np.sqrt(priors.sigma2_z)
     out = np.empty((S, n, q_w.output_dim))
-    for s in range(S):
-        f = q_w.draw_function(rng)
-        z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k)) if k > 0 else None
-        out[s] = np.reshape(f(X, z), (n, -1))
+    if isinstance(q_w, FixedFunction):
+        for s in range(S):
+            f = q_w.draw_function(rng)
+            z = rng.normal(0.0, sd_z, size=(n, k)) if k > 0 else None
+            out[s] = np.reshape(f(X, z), (n, -1))
+        return out
+    w = np.empty((_DRAW_CHUNK, q_w.arch.param_count))
+    z = np.empty((_DRAW_CHUNK, n, k))
+    for lo in range(0, S, _DRAW_CHUNK):
+        c = min(_DRAW_CHUNK, S - lo)
+        for j in range(c):
+            w[j] = q_w.draw_weights(rng)
+            if k > 0:
+                z[j] = rng.normal(0.0, sd_z, size=(n, k))
+        out[lo : lo + c] = dc.mlp_forward(q_w.arch, w[:c], X, z[:c])
     return out
 
 

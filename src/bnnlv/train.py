@@ -42,6 +42,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if self.n_mc < 1:
+            raise ConfigError(f"n_mc must be >= 1, got {self.n_mc}")
         if self.init not in ("auto", "random", "warm", "ground_truth", "map"):
             raise ConfigError(f"unknown init scheme {self.init!r}")
         if self.batch_size is not None and self.batch_size < 1:

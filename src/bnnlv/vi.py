@@ -149,6 +149,12 @@ def kl_diag_gaussian(mu_q, var_q, mu_p, var_p):
 def elbo_graph(arch, leaves, x, y, priors, n_mc, seed, batch=None):
     """Build the ELBO as a graph over the leaf dict {mu_w, rho_w, mu_z, rho_z}.
 
+    The expected log-likelihood is the mean over ``n_mc`` joint draws of
+    the weights and the latents. All draws go through one
+    reparameterisation, one forward pass and one ``log_likelihood`` as a
+    (n_mc, P) weight block and (n_mc, N, K) latents; the rng fills them in
+    the per-sample order, each sample's weights and then its latents.
+
     With ``batch`` (row indices into x), the likelihood and the latent KL
     are computed on the batch and rescaled by N/|batch|; the weight KL
     appears once regardless.
@@ -172,18 +178,15 @@ def elbo_graph(arch, leaves, x, y, priors, n_mc, seed, batch=None):
         rho_zb = dc.take(leaves["rho_z"], batch) if has_z else leaves["rho_z"]
     scale = n_total / nb if nb else 1.0
 
-    ll_sum = None
-    for _ in range(n_mc):
-        eps_w = rng.standard_normal(dc._val(leaves["mu_w"]).shape)
-        w = dc.gaussian_reparam(leaves["mu_w"], leaves["rho_w"], eps_w)
+    eps_w = np.empty((n_mc, arch.param_count))
+    eps_z = np.empty((n_mc, nb, k))
+    for s in range(n_mc):
+        eps_w[s] = rng.standard_normal(arch.param_count)
         if has_z:
-            eps_z = rng.standard_normal((nb, k))
-            Z = dc.gaussian_reparam(mu_zb, rho_zb, eps_z)
-        else:
-            Z = None
-        ll = log_likelihood(arch, w, Z, xb, yb, priors.sigma2_eps)
-        ll_sum = ll if ll_sum is None else dc.add(ll_sum, ll)
-    ell = dc.mul(ll_sum, scale / n_mc)
+            eps_z[s] = rng.standard_normal((nb, k))
+    w = dc.gaussian_reparam(leaves["mu_w"], leaves["rho_w"], eps_w)
+    Z = dc.gaussian_reparam(mu_zb, rho_zb, eps_z) if has_z else None
+    ell = dc.mul(log_likelihood(arch, w, Z, xb, yb, priors.sigma2_eps), scale / n_mc)
 
     sigma_w = dc.softplus(leaves["rho_w"])
     kl_w = kl_diag_gaussian(leaves["mu_w"], dc.mul(sigma_w, sigma_w), 0.0, priors.sigma2_w)

@@ -3,13 +3,17 @@
 Everything here is deliberately written the slow, obvious way and shares
 no code with the implementations under test, except ``composite_hz_statistic``,
 which composes the generic tape ops to give a gradient reference for the
-fused Henze-Zirkler op. The dense estimators hold every pairwise N x N (or
+fused Henze-Zirkler op, and the per-sample ELBO and per-draw predictive
+loops, which run the single-draw forward pass once per Monte Carlo draw to
+check the batched paths. The dense estimators hold every pairwise N x N (or
 M x N) array and check the k-d tree and row-chunked versions.
 """
 import numpy as np
 from scipy.special import digamma, logsumexp
 
 from bnnlv import diffcore as dc
+from bnnlv.model import log_likelihood
+from bnnlv.vi import kl_diag_gaussian
 
 
 def finite_diff_grad(f, x, h=1e-5):
@@ -187,3 +191,57 @@ def naive_ks_statistic(a, b):
 def gaussian_entropy(var):
     """Differential entropy of a 1-D Gaussian with the given variance."""
     return 0.5 * np.log(2.0 * np.pi * np.e * var)
+
+
+def per_sample_elbo_graph(arch, leaves, x, y, priors, n_mc, seed, batch=None):
+    """``vi.elbo_graph`` with one reparameterisation, forward pass and
+    log-likelihood per Monte Carlo sample, from the same rng draws."""
+    rng = np.random.default_rng(seed)
+    n_total = x.shape[0]
+    has_z = arch.input_dim_z > 0
+    if batch is None:
+        xb, yb = x, y
+        mu_zb, rho_zb = leaves["mu_z"], leaves["rho_z"]
+    else:
+        batch = np.asarray(batch, dtype=np.intp)
+        xb, yb = x[batch], y[batch]
+        mu_zb = dc.take(leaves["mu_z"], batch) if has_z else leaves["mu_z"]
+        rho_zb = dc.take(leaves["rho_z"], batch) if has_z else leaves["rho_z"]
+    nb = xb.shape[0]
+    scale = n_total / nb if nb else 1.0
+
+    ll_sum = None
+    for _ in range(n_mc):
+        eps_w = rng.standard_normal(dc._val(leaves["mu_w"]).shape)
+        w = dc.gaussian_reparam(leaves["mu_w"], leaves["rho_w"], eps_w)
+        if has_z:
+            eps_z = rng.standard_normal((nb, arch.input_dim_z))
+            Z = dc.gaussian_reparam(mu_zb, rho_zb, eps_z)
+        else:
+            Z = None
+        ll = log_likelihood(arch, w, Z, xb, yb, priors.sigma2_eps)
+        ll_sum = ll if ll_sum is None else dc.add(ll_sum, ll)
+    ell = dc.mul(ll_sum, scale / n_mc)
+
+    sigma_w = dc.softplus(leaves["rho_w"])
+    kl_w = kl_diag_gaussian(leaves["mu_w"], dc.mul(sigma_w, sigma_w), 0.0, priors.sigma2_w)
+    if has_z and nb:
+        sigma_zb = dc.softplus(rho_zb)
+        kl_z = dc.mul(
+            kl_diag_gaussian(mu_zb, dc.mul(sigma_zb, sigma_zb), 0.0, priors.sigma2_z), scale
+        )
+    else:
+        kl_z = 0.0
+    return dc.add(ell, dc.neg(dc.add(kl_w, kl_z)))
+
+
+def per_draw_predictive_means(q_w, priors, X, S, rng):
+    """``model.predictive_means`` with one function and one forward pass per
+    draw: the function from ``draw_function``, then the prior latents."""
+    n, k = X.shape[0], q_w.input_dim_z
+    out = np.empty((S, n, q_w.output_dim))
+    for s in range(S):
+        f = q_w.draw_function(rng)
+        z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k)) if k > 0 else None
+        out[s] = np.reshape(f(X, z), (n, -1))
+    return out

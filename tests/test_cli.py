@@ -286,7 +286,7 @@ class TestTrain:
             "eb_w = no", "standardize = no", "variance_only_first = maybe", "sigma2_w = abc",
             "epochs = 1.5", "epochs = [2, 3]", "batch_size = 2.5", "data_seed = abc",
             "hidden = abc", "hidden = 0", "leaky_slope = 2", "latent_dim = -1",
-            "sizes = [10, 5]", "sizes = [0, 20, 20]",
+            "sizes = [10, 5]", "sizes = [0, 20, 20]", "n_mc = 0", "n_mc = -1",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch, line):

@@ -32,6 +32,20 @@ class TestLeakyRelu:
         v = np.abs(rng.normal(size=100)) + 1e-12
         np.testing.assert_array_equal(dc.leaky_relu(v, 0.01), v)
 
+    def test_equals_where_forms_at_signed_zero_and_nan(self):
+        alpha = 0.01
+        x = np.array([0.0, -0.0, np.nan, 1.5, -2.0, np.inf, -np.inf, 5e-324, -5e-324])
+        g = np.array([1.0, -1.0, 0.5, -0.0, 2.0, np.nan, 3.0, 1.0, -4.0])
+        leaf = dc.leaf(x)
+        out = dc.leaky_relu(leaf, alpha)
+        dc.backward(dc.sum_(dc.mul(out, g)))
+        for got, want in (
+            (out.value, np.where(x > 0.0, x, alpha * x)),
+            (leaf.grad, g * np.where(x > 0.0, 1.0, alpha)),
+        ):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     def test_bad_slope_rejected(self):
         for alpha in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
@@ -233,6 +247,28 @@ class TestMlpForward:
         b = dc.mlp_forward(arch, w, x, z)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_weight_block_equals_per_draw_passes(self, k):
+        rng = np.random.default_rng(23)
+        arch = dc.Architecture(input_dim_x=2, input_dim_z=k, hidden_layers=(5, 3), output_dim=2)
+        W = rng.normal(size=(4, arch.param_count))
+        X = rng.normal(size=(7, 2))
+        Z = rng.normal(size=(4, 7, k)) if k else None
+        out = dc.mlp_forward(arch, W, X, Z)
+        assert out.shape == (4, 7, 2)
+        for c in range(4):
+            np.testing.assert_array_equal(out[c], dc.mlp_forward(arch, W[c], X, Z[c] if k else None))
+        node = dc.mlp_forward(arch, dc.leaf(W), X, None if Z is None else dc.leaf(Z))
+        np.testing.assert_array_equal(node.value, out)
+
+    def test_weight_block_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(29)
+        arch = dc.Architecture(input_dim_x=2, input_dim_z=1, hidden_layers=(4,), output_dim=2)
+        W = rng.normal(size=(3, arch.param_count))
+        X = rng.normal(size=(5, 2))
+        Z = rng.normal(size=(3, 5, 1))
+        _assert_grads_match_fd(lambda w, x, z: dc.mlp_forward(arch, w, x, z), W, X, Z)
+
     def test_shape_errors(self):
         arch = dc.Architecture(input_dim_x=2, input_dim_z=1, hidden_layers=(3,))
         w = np.zeros(arch.param_count)
@@ -242,6 +278,14 @@ class TestMlpForward:
             dc.mlp_forward(arch, w, np.ones(3), np.ones(1))
         with pytest.raises(ValueError):
             dc.mlp_forward(arch, w, np.ones(2), None)
+        # a weight block takes an (N, D) x and latents stacked per draw
+        block = np.zeros((2, arch.param_count))
+        with pytest.raises(ValueError, match="z must have shape"):
+            dc.mlp_forward(arch, block, np.ones((4, 2)), np.ones((4, 1)))
+        with pytest.raises(ValueError, match="x must have"):
+            dc.mlp_forward(arch, block, np.ones(2), np.ones((2, 1, 1)))
+        with pytest.raises(ValueError, match="weights must have shape"):
+            dc.mlp_forward(arch, np.zeros((2, 2, arch.param_count)), np.ones((4, 2)), None)
 
 
 # Every tape op against central finite differences, over drawn shapes and
@@ -328,6 +372,15 @@ class TestOpsMatchFiniteDifferences:
     def test_matmul(self, data):
         n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
         _assert_grads_match_fd(dc.matmul, data.draw(_arrays((n, k))), data.draw(_arrays((k, m))))
+
+    @pytest.mark.parametrize("stacked", ["both", "left", "right"])
+    @given(data=st.data())
+    def test_stacked_matmul(self, stacked, data):
+        # stacks of draws on both sides, or one side a 2-D operand shared by the stack
+        c, n, k, m = (data.draw(st.integers(1, 4)) for _ in range(4))
+        a = data.draw(_arrays((n, k) if stacked == "right" else (c, n, k)))
+        b = data.draw(_arrays((k, m) if stacked == "left" else (c, k, m)))
+        _assert_grads_match_fd(dc.matmul, a, b)
 
     @given(data=st.data())
     def test_take(self, data):

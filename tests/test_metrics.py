@@ -355,13 +355,13 @@ class TestComputeReport:
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
         q = random_init(arch, 15, seed=3)
         calls = []
-        draw = q.draw_function
+        draw = q.draw_weights
 
         def counted(rng):
             calls.append(1)
             return draw(rng)
 
-        q.draw_function = counted
+        q.draw_weights = counted
         compute_report(q, data, PriorConfig(), s=150, seed=0)
         assert len(calls) == 150
 

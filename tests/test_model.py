@@ -6,6 +6,7 @@ from bnnlv.data import DataSet, gen_synthetic, ground_truth_fn
 from bnnlv.diffcore import Architecture, mlp_forward
 from bnnlv.exceptions import ConfigError
 from bnnlv.model import (
+    _DRAW_CHUNK,
     FixedFunction,
     PointMassWeights,
     PriorConfig,
@@ -20,6 +21,7 @@ from bnnlv.model import (
 )
 from bnnlv.nonident import node_transform
 from bnnlv.vi import random_init
+from oracles import per_draw_predictive_means
 
 
 def _single_row(x, y):
@@ -198,6 +200,28 @@ class TestPredictive:
         assert means.shape == (5, 7, 2)
         # every draw takes its own weights
         assert not np.array_equal(means[0], means[1])
+
+    @pytest.mark.parametrize("kind", ["mean_field", "point_mass", "fixed"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_chunked_draws_equal_per_draw_loop(self, kind, k):
+        # two full chunks and a ragged one of a single draw
+        arch = Architecture(input_dim_x=1, input_dim_z=k, hidden_layers=(5, 3), output_dim=2)
+        q = random_init(arch, 4, seed=6)
+        q_w = {
+            "mean_field": q,
+            "point_mass": PointMassWeights(arch, q.mu_w),
+            "fixed": FixedFunction(
+                lambda x, z: np.hstack([np.sin(x), x * x]) + (0.0 if z is None else z),
+                input_dim_z=k, output_dim=2,
+            ),
+        }[kind]
+        priors = PriorConfig(sigma2_z=0.7)
+        x = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
+        s = 2 * _DRAW_CHUNK + 1
+        got = predictive_means(q_w, priors, x, s, np.random.default_rng(3))
+        want = per_draw_predictive_means(q_w, priors, x, s, np.random.default_rng(3))
+        assert got.shape == (s, 9, 2)
+        np.testing.assert_array_equal(got, want)
 
     def test_noise_is_drawn_after_all_means(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)

@@ -110,6 +110,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="convergence"):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("n_mc", [0, -1])
+    def test_rejects_bad_n_mc(self, n_mc):
+        # before any training: an NCAI run would otherwise finish its warm
+        # start first
+        with pytest.raises(ConfigError, match="n_mc"):
+            TrainConfig(n_mc=n_mc)
+
 
 class TestEbUpdates:
     def test_sz_worked_example(self):

@@ -5,7 +5,8 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from bnnlv.data import DataSet
+from bnnlv import diffcore as dc
+from bnnlv.data import DataSet, gen_synthetic
 from bnnlv.diffcore import Architecture, softplus
 from bnnlv.exceptions import ConfigError
 from bnnlv.model import PriorConfig
@@ -14,10 +15,11 @@ from bnnlv.vi import (
     MeanFieldPosterior,
     aggregated_posterior_logpdf,
     elbo,
+    elbo_graph,
     kl_diag_gaussian,
     random_init,
 )
-from oracles import dense_mixture_logpdf
+from oracles import dense_mixture_logpdf, per_sample_elbo_graph
 
 
 def _softplus_inv(s):
@@ -202,6 +204,46 @@ class TestElbo:
         data = _dataset([[0.0]], [[0.0]])
         with pytest.raises(ConfigError):
             elbo(q, data, PriorConfig(), n_mc=0, seed=0)
+
+
+class TestBatchedElbo:
+    """All Monte Carlo samples in one forward pass, against the per-sample loop."""
+
+    @staticmethod
+    def _value_and_grads(build, q):
+        leaves = {k: dc.leaf(v) for k, v in zip(("mu_w", "rho_w", "mu_z", "rho_z"), q.params())}
+        node = build(leaves)
+        dc.backward(node)
+        return float(node.value), {k: leaf.grad for k, leaf in leaves.items()}
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("batch", [None, [3, 0, 7, 7, 12]])
+    @pytest.mark.parametrize("n_mc", [1, 16])
+    def test_matches_per_sample_loop(self, n_mc, batch, k):
+        data = gen_synthetic("heavy_tail", seed=4, sizes=(20, 0, 0))
+        view = data.view("train")
+        arch = Architecture(input_dim_x=1, input_dim_z=k, hidden_layers=(6, 4), output_dim=1)
+        q = random_init(arch, 20, seed=2)
+        priors = PriorConfig(sigma2_w=0.8, sigma2_z=0.6, sigma2_eps=0.2)
+        args = (arch, view.x, view.y, priors, n_mc, 5, batch)
+        got, got_g = self._value_and_grads(
+            lambda lv: elbo_graph(args[0], lv, *args[1:])[0], q
+        )
+        want, want_g = self._value_and_grads(
+            lambda lv: per_sample_elbo_graph(args[0], lv, *args[1:]), q
+        )
+        # one sample draws exactly what one pass of the loop draws; more
+        # samples sum the same terms in another order
+        tol = 0.0 if n_mc == 1 else 1e-12
+        assert abs(got - want) <= tol * abs(want)
+        for name, g in want_g.items():
+            if g is None:
+                assert got_g[name] is None
+                continue
+            assert got_g[name].shape == g.shape
+            assert np.max(np.abs(got_g[name] - g), initial=0.0) <= tol * np.max(
+                np.abs(g), initial=0.0
+            ), name
 
 
 class TestAggregatedPosterior:
