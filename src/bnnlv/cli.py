@@ -73,14 +73,9 @@ def _typed(key, value, typ=None):
     """``value`` as the type of config key ``key`` (or ``typ``), else ConfigError.
 
     Float keys take any number, int keys an integral one, bool keys only
-    true or false, and a list key takes one value as a one-item list; none
-    passes only where the field allows None.
+    true or false, and a list key takes one value as a one-item list.
     """
     typ = KEY_TYPES[key] if typ is None else typ
-    if type(None) in typing.get_args(typ):
-        if value is None:
-            return None
-        (typ,) = (a for a in typing.get_args(typ) if a is not type(None))
     if typing.get_origin(typ) is list:
         (item,) = typing.get_args(typ)
         return [_typed(key, v, item) for v in (value if isinstance(value, list) else [value])]
@@ -111,8 +106,6 @@ def _parse_scalar(tok):
     low = t.lower()
     if low in ("true", "false"):
         return low == "true"
-    if low in ("none", "null"):
-        return None
     try:
         return int(t)
     except ValueError:
@@ -564,14 +557,18 @@ def cmd_map_demo(args):
 def _parse_grid_spec(spec):
     try:
         lo, hi, count = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError(f"bad x-grid spec {spec!r}; expected lo:hi:count") from None
+    if count < 1:
+        raise ConfigError(f"x-grid needs a count >= 1, got {spec!r}")
+    return np.linspace(lo, hi, count)
 
 
 def cmd_decompose(args):
     if args.s_w < 1 or args.s_inner <= 5:
         raise ConfigError("decompose needs --s-w >= 1 and --s-inner > 5")
+    grid = _parse_grid_spec(args.x_grid)
     if args.model:
         q_w, priors, _ = _load_model(args.model)
     elif args.dataset:
@@ -584,7 +581,6 @@ def cmd_decompose(args):
         )
     else:
         raise ConfigError("decompose needs --model or --dataset")
-    grid = _parse_grid_spec(args.x_grid)
     rows = []
     for i, xv in enumerate(grid):
         parts = uncertainty_decomposition(

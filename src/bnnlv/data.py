@@ -63,6 +63,22 @@ class DataSet:
     def is_standardized(self):
         return self.y_mean is not None
 
+    def ground_truth(self, arch):
+        """Generative weights and train-split latents, for a net shaped ``arch``.
+
+        Raises ConfigError when the data set stores none, or when ``arch``
+        is not the architecture the weights belong to.
+        """
+        if self.w_true is None or self.z_true is None:
+            raise ConfigError("ground_truth init requires stored generative weights and latents")
+        if arch != self.gt_arch:
+            raise ConfigError(
+                f"ground_truth init needs the generative architecture {self.gt_arch}, got {arch}"
+            )
+        w = np.array(self.w_true, dtype=np.float64)
+        z = np.array(self.view("train").z_true, dtype=np.float64)
+        return w, z
+
     def view(self, which="train"):
         """Row-sliced copy where every row belongs to the chosen split."""
         idx = {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}[which]

@@ -93,6 +93,11 @@ def log_joint(arch, w, Z, data, priors):
     return _scalar(dc.add(dc.add(ll, lw), lz))
 
 
+def _check_variances(var):
+    if not np.all(np.asarray(var) >= 0.0):
+        raise ConfigError(f"x sampler variance must be >= 0, got {var}")
+
+
 def make_x_sampler(spec):
     """Build an input sampler from a spec: a callable, or a tuple like
     ("uniform", lo, hi), ("normal", mean, var), ("mixture", [(w, mean, var), ...]).
@@ -107,13 +112,16 @@ def make_x_sampler(spec):
         return lambda rng, n: rng.uniform(lo, hi, size=(n, 1))
     if kind == "normal":
         _, mean, var = spec
+        _check_variances(var)
         return lambda rng, n: rng.normal(mean, np.sqrt(var), size=(n, 1))
     if kind == "mixture":
         comps = spec[1]
         weights = np.array([c[0] for c in comps], dtype=float)
         weights = weights / weights.sum()
         means = np.array([c[1] for c in comps], dtype=float)
-        stds = np.sqrt(np.array([c[2] for c in comps], dtype=float))
+        variances = np.array([c[2] for c in comps], dtype=float)
+        _check_variances(variances)
+        stds = np.sqrt(variances)
 
         def sample(rng, n):
             which = rng.choice(len(comps), size=n, p=weights)

@@ -177,13 +177,12 @@ def pearson_penalty(a, b):
     return out if isinstance(out, dc.Node) else float(out)
 
 
-def objective_graph(arch, leaves, x, y, priors, cfg, n_mc, seed, batch=None):
+def objective_graph(arch, leaves, x, y, priors, cfg, n_mc, seed):
     """Constrained objective: negative ELBO plus the latent-mean penalties.
 
-    Penalties always see the full train block of means even in batch mode.
     Returns the objective Node and a dict of the raw penalty statistics.
     """
-    elbo_node, elbo_parts = vi_mod.elbo_graph(arch, leaves, x, y, priors, n_mc, seed, batch)
+    elbo_node, elbo_parts = vi_mod.elbo_graph(arch, leaves, x, y, priors, n_mc, seed)
     obj = dc.neg(elbo_node)
     parts = {"elbo": elbo_node, **elbo_parts}
     if cfg.penalty_free:
@@ -298,7 +297,8 @@ def map_estimate(data, priors, arch, init="random", opt_cfg=None, seed=0):
     """Maximize the log joint over weights and latents by Adam.
 
     ``init`` is "random" (layer-scaled weights, latents from the prior) or
-    "ground_truth" (requires stored generative weights and latents).
+    "ground_truth" (requires stored generative weights and latents, and
+    ``arch`` equal to their architecture).
     """
     from .train import TrainConfig, optimize
 
@@ -311,10 +311,7 @@ def map_estimate(data, priors, arch, init="random", opt_cfg=None, seed=0):
         w = dc.xavier_normal_weights(arch, rng)
         z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k))
     elif init == "ground_truth":
-        if data.w_true is None or data.z_true is None:
-            raise ConfigError("ground_truth init requires stored generative weights and latents")
-        w = np.array(data.w_true, dtype=np.float64)
-        z = np.array(view.z_true, dtype=np.float64)
+        w, z = data.ground_truth(arch)
     else:
         raise ConfigError(f"unknown map init {init!r}; use 'random' or 'ground_truth'")
 

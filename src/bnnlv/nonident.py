@@ -228,6 +228,12 @@ def bias_probability(transform, n_values, trials, priors, x_sampler, seed):
         raise ConfigError(f"unknown transform kind {transform.get('kind')!r}")
     if trials < 1 or any(n < 1 for n in n_values):
         raise ConfigError(f"need trials >= 1 and every n >= 1, got {trials} and {list(n_values)}")
+    # a zero or non-finite factor has no inverse, so it defines no transform
+    factor = "c" if kind == "node" else "t_scale"
+    if not (np.isfinite(transform[factor]) and transform[factor] != 0.0):
+        raise ConfigError(f"{factor} must be finite and non-zero, got {transform[factor]}")
+    if kind == "layer" and int(transform.get("hidden", 5)) < 1:
+        raise ConfigError(f"hidden must be >= 1, got {transform['hidden']}")
     sampler = make_x_sampler(x_sampler)
     rng = np.random.default_rng(seed)
     s2z, s2w = priors.sigma2_z, priors.sigma2_w

@@ -8,7 +8,7 @@ average marginal log-likelihood on the validation split.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +30,8 @@ class TrainConfig:
     n_mc: int = 1
     warm_epochs: int = 2000
     init: str = "auto"
-    variance_only_first: bool | None = None
     convergence_tol: float = 1e-6
     convergence_window: int = 200
-    batch_size: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
@@ -46,8 +44,6 @@ class TrainConfig:
             raise ConfigError(f"n_mc must be >= 1, got {self.n_mc}")
         if self.init not in ("auto", "random", "warm", "ground_truth", "map"):
             raise ConfigError(f"unknown init scheme {self.init!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.convergence_window < 1:
             raise ConfigError(f"convergence_window must be >= 1, got {self.convergence_window}")
         if not 0.0 <= self.convergence_tol < np.inf:
@@ -175,60 +171,41 @@ def eb_update_sw(mu_w, var_w, alpha, beta):
     return (2.0 * beta + stat) / (h + 2.0 * alpha - 2.0)
 
 
-@dataclass
 class TrainHistory:
-    """Per-epoch trace of the objective and its pieces."""
-
-    objective: list = field(default_factory=list)
-    elbo: list = field(default_factory=list)
-    hz: list = field(default_factory=list)
-    offdiag: list = field(default_factory=list)
-    pc_x: list = field(default_factory=list)
-    pc_y: list = field(default_factory=list)
-    s_w: list = field(default_factory=list)
-    s_z: list = field(default_factory=list)
-    phase: list = field(default_factory=list)
-
-    def append(self, objective, parts, priors, phase):
-        self.objective.append(objective)
-        self.elbo.append(float(dc._val(parts["elbo"])))
-        for key, store in (
-            ("hz", self.hz),
-            ("offdiag", self.offdiag),
-            ("pc_x", self.pc_x),
-            ("pc_y", self.pc_y),
-        ):
-            store.append(float(dc._val(parts[key])) if key in parts else np.nan)
-        self.s_w.append(priors.sigma2_w)
-        self.s_z.append(priors.sigma2_z)
-        self.phase.append(phase)
-
-    def __len__(self):
-        return len(self.objective)
+    """Per-epoch trace of the objective and its pieces, one list per history.csv column."""
 
     COLUMNS = ("epoch", "phase", "objective", "elbo", "hz", "offdiag", "pc_x", "pc_y", "s_w", "s_z")
 
+    def __init__(self):
+        self.columns = {name: [] for name in self.COLUMNS}
+
+    def append(self, objective, parts, priors, phase):
+        row = {
+            "epoch": len(self),
+            "phase": phase,
+            "objective": objective,
+            "elbo": float(dc._val(parts["elbo"])),
+            **{k: float(dc._val(parts[k])) if k in parts else np.nan
+               for k in ("hz", "offdiag", "pc_x", "pc_y")},
+            "s_w": priors.sigma2_w,
+            "s_z": priors.sigma2_z,
+        }
+        for name, column in self.columns.items():
+            column.append(row[name])
+
+    def __len__(self):
+        return len(self.columns["epoch"])
+
     def rows(self):
-        for i in range(len(self.objective)):
-            yield (
-                i,
-                self.phase[i],
-                self.objective[i],
-                self.elbo[i],
-                self.hz[i],
-                self.offdiag[i],
-                self.pc_x[i],
-                self.pc_y[i],
-                self.s_w[i],
-                self.s_z[i],
-            )
+        return zip(*self.columns.values())
 
 
 def final_priors(priors, history):
     """Priors with the variances the empirical-Bayes schedule ended on."""
     if not len(history):
         return priors
-    return replace(priors, sigma2_w=history.s_w[-1], sigma2_z=history.s_z[-1])
+    cols = history.columns
+    return replace(priors, sigma2_w=cols["s_w"][-1], sigma2_z=cols["s_z"][-1])
 
 
 def _init_posterior(data, arch, priors, train_cfg, method, rng):
@@ -248,15 +225,9 @@ def _init_posterior(data, arch, priors, train_cfg, method, rng):
             )
             w0, z0 = res.w, res.z
         else:
-            if data.w_true is None or data.z_true is None:
-                raise ConfigError("ground_truth init requires stored generative weights/latents")
-            w0 = np.array(data.w_true, dtype=np.float64)
-            z0 = np.array(data.view("train").z_true, dtype=np.float64)
+            w0, z0 = data.ground_truth(arch)
         q = vi_mod.random_init(arch, n, int(rng.integers(0, 2**32)))
-        q.mu_w = w0
-        if arch.input_dim_z > 0:
-            q.mu_z = z0
-        return q, scheme
+        return replace(q, mu_w=w0, mu_z=z0), scheme
     raise ConfigError(f"unknown init scheme {scheme!r}")
 
 
@@ -282,15 +253,10 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
     priors = replace(priors)
     history = TrainHistory()
     epoch_seed = np.random.default_rng(int(rng.integers(0, 2**32)))
-
-    variance_only = train_cfg.variance_only_first
-    if variance_only is None:
-        variance_only = scheme in ("ground_truth", "map")
-    phases = (["variance", "joint"] if variance_only else ["joint"])
+    # a start from fitted or generative means first fits only the scales
+    phases = ["variance", "joint"] if scheme in ("ground_truth", "map") else ["joint"]
 
     blocks = dict(zip(("mu_w", "rho_w", "mu_z", "rho_z"), q.params()))
-    batch_rng = np.random.default_rng(int(rng.integers(0, 2**32)))
-    n = view.x.shape[0]
 
     def objective(leaves):
         nonlocal priors
@@ -302,12 +268,9 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
         if priors.eb_z and arch.input_dim_z > 0:
             sz = dc.softplus(leaves["rho_z"].value)
             priors = replace(priors, sigma2_z=eb_update_sz(leaves["mu_z"].value, sz * sz, priors.ig_alpha, priors.ig_beta))
-        batch = None
-        if train_cfg.batch_size is not None and train_cfg.batch_size < n:
-            batch = batch_rng.choice(n, size=train_cfg.batch_size, replace=False)
         obj, parts = ncai_mod.objective_graph(
             arch, leaves, view.x, view.y, priors, cfg, train_cfg.n_mc,
-            int(epoch_seed.integers(0, 2**32)), batch=batch,
+            int(epoch_seed.integers(0, 2**32)),
         )
         history.append(float(obj.value), parts, priors, phase)
         return obj

@@ -146,7 +146,7 @@ def kl_diag_gaussian(mu_q, var_q, mu_p, var_p):
     return out if isinstance(out, dc.Node) else float(out)
 
 
-def elbo_graph(arch, leaves, x, y, priors, n_mc, seed, batch=None):
+def elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
     """Build the ELBO as a graph over the leaf dict {mu_w, rho_w, mu_z, rho_z}.
 
     The expected log-likelihood is the mean over ``n_mc`` joint draws of
@@ -154,47 +154,29 @@ def elbo_graph(arch, leaves, x, y, priors, n_mc, seed, batch=None):
     reparameterisation, one forward pass and one ``log_likelihood`` as a
     (n_mc, P) weight block and (n_mc, N, K) latents; the rng fills them in
     the per-sample order, each sample's weights and then its latents.
-
-    With ``batch`` (row indices into x), the likelihood and the latent KL
-    are computed on the batch and rescaled by N/|batch|; the weight KL
-    appears once regardless.
     """
     if n_mc < 1:
         raise ConfigError(f"n_mc must be >= 1, got {n_mc}")
     rng = np.random.default_rng(seed)
-    n_total = x.shape[0]
+    n = x.shape[0]
     has_z = arch.input_dim_z > 0
     k = arch.input_dim_z
 
-    if batch is None:
-        xb, yb = x, y
-        nb = n_total
-        mu_zb, rho_zb = leaves["mu_z"], leaves["rho_z"]
-    else:
-        batch = np.asarray(batch, dtype=np.intp)
-        xb, yb = x[batch], y[batch]
-        nb = len(batch)
-        mu_zb = dc.take(leaves["mu_z"], batch) if has_z else leaves["mu_z"]
-        rho_zb = dc.take(leaves["rho_z"], batch) if has_z else leaves["rho_z"]
-    scale = n_total / nb if nb else 1.0
-
     eps_w = np.empty((n_mc, arch.param_count))
-    eps_z = np.empty((n_mc, nb, k))
+    eps_z = np.empty((n_mc, n, k))
     for s in range(n_mc):
         eps_w[s] = rng.standard_normal(arch.param_count)
         if has_z:
-            eps_z[s] = rng.standard_normal((nb, k))
+            eps_z[s] = rng.standard_normal((n, k))
     w = dc.gaussian_reparam(leaves["mu_w"], leaves["rho_w"], eps_w)
-    Z = dc.gaussian_reparam(mu_zb, rho_zb, eps_z) if has_z else None
-    ell = dc.mul(log_likelihood(arch, w, Z, xb, yb, priors.sigma2_eps), scale / n_mc)
+    Z = dc.gaussian_reparam(leaves["mu_z"], leaves["rho_z"], eps_z) if has_z else None
+    ell = dc.mul(log_likelihood(arch, w, Z, x, y, priors.sigma2_eps), 1.0 / n_mc)
 
     sigma_w = dc.softplus(leaves["rho_w"])
     kl_w = kl_diag_gaussian(leaves["mu_w"], dc.mul(sigma_w, sigma_w), 0.0, priors.sigma2_w)
-    if has_z and nb:
-        sigma_zb = dc.softplus(rho_zb)
-        kl_z = dc.mul(
-            kl_diag_gaussian(mu_zb, dc.mul(sigma_zb, sigma_zb), 0.0, priors.sigma2_z), scale
-        )
+    if has_z:
+        sigma_z = dc.softplus(leaves["rho_z"])
+        kl_z = kl_diag_gaussian(leaves["mu_z"], dc.mul(sigma_z, sigma_z), 0.0, priors.sigma2_z)
     else:
         kl_z = 0.0
     value = dc.add(ell, dc.neg(dc.add(kl_w, kl_z)))
@@ -210,14 +192,14 @@ def _leaves_of(q):
     }
 
 
-def elbo(q, data, priors, n_mc=64, seed=0, batch=None, return_parts=False):
+def elbo(q, data, priors, n_mc=64, seed=0, return_parts=False):
     """Monte Carlo ELBO of the training split of ``data`` under posterior ``q``."""
     view = data.view("train")
     if view.x.shape[0] != q.n_train:
         raise ValueError(
             f"posterior holds {q.n_train} latent rows but the train split has {view.x.shape[0]}"
         )
-    node, parts = elbo_graph(q.arch, _leaves_of(q), view.x, view.y, priors, n_mc, seed, batch)
+    node, parts = elbo_graph(q.arch, _leaves_of(q), view.x, view.y, priors, n_mc, seed)
     if return_parts:
         return float(dc._val(node)), {key: float(dc._val(v)) for key, v in parts.items()}
     return float(dc._val(node))

@@ -193,43 +193,30 @@ def gaussian_entropy(var):
     return 0.5 * np.log(2.0 * np.pi * np.e * var)
 
 
-def per_sample_elbo_graph(arch, leaves, x, y, priors, n_mc, seed, batch=None):
+def per_sample_elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
     """``vi.elbo_graph`` with one reparameterisation, forward pass and
     log-likelihood per Monte Carlo sample, from the same rng draws."""
     rng = np.random.default_rng(seed)
-    n_total = x.shape[0]
     has_z = arch.input_dim_z > 0
-    if batch is None:
-        xb, yb = x, y
-        mu_zb, rho_zb = leaves["mu_z"], leaves["rho_z"]
-    else:
-        batch = np.asarray(batch, dtype=np.intp)
-        xb, yb = x[batch], y[batch]
-        mu_zb = dc.take(leaves["mu_z"], batch) if has_z else leaves["mu_z"]
-        rho_zb = dc.take(leaves["rho_z"], batch) if has_z else leaves["rho_z"]
-    nb = xb.shape[0]
-    scale = n_total / nb if nb else 1.0
 
     ll_sum = None
     for _ in range(n_mc):
         eps_w = rng.standard_normal(dc._val(leaves["mu_w"]).shape)
         w = dc.gaussian_reparam(leaves["mu_w"], leaves["rho_w"], eps_w)
         if has_z:
-            eps_z = rng.standard_normal((nb, arch.input_dim_z))
-            Z = dc.gaussian_reparam(mu_zb, rho_zb, eps_z)
+            eps_z = rng.standard_normal((x.shape[0], arch.input_dim_z))
+            Z = dc.gaussian_reparam(leaves["mu_z"], leaves["rho_z"], eps_z)
         else:
             Z = None
-        ll = log_likelihood(arch, w, Z, xb, yb, priors.sigma2_eps)
+        ll = log_likelihood(arch, w, Z, x, y, priors.sigma2_eps)
         ll_sum = ll if ll_sum is None else dc.add(ll_sum, ll)
-    ell = dc.mul(ll_sum, scale / n_mc)
+    ell = dc.mul(ll_sum, 1.0 / n_mc)
 
     sigma_w = dc.softplus(leaves["rho_w"])
     kl_w = kl_diag_gaussian(leaves["mu_w"], dc.mul(sigma_w, sigma_w), 0.0, priors.sigma2_w)
-    if has_z and nb:
-        sigma_zb = dc.softplus(rho_zb)
-        kl_z = dc.mul(
-            kl_diag_gaussian(mu_zb, dc.mul(sigma_zb, sigma_zb), 0.0, priors.sigma2_z), scale
-        )
+    if has_z:
+        sigma_z = dc.softplus(leaves["rho_z"])
+        kl_z = kl_diag_gaussian(leaves["mu_z"], dc.mul(sigma_z, sigma_z), 0.0, priors.sigma2_z)
     else:
         kl_z = 0.0
     return dc.add(ell, dc.neg(dc.add(kl_w, kl_z)))

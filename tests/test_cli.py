@@ -59,14 +59,12 @@ class TestParseConfig:
             "epochs = 50\n"
             "learning_rate = 1e-2\n"
             "eb_z = true\n"
-            "batch_size = none\n"
         )
         assert cfg == {
             "method": "NCAI",
             "epochs": 50,
             "learning_rate": 0.01,
             "eb_z": True,
-            "batch_size": None,
         }
 
     def test_lists(self):
@@ -131,12 +129,11 @@ class TestBuildExperiment:
 
     def test_values_take_the_field_type(self):
         cfg = {"dataset": "depeweg", "sizes": [20, 5, 5], "sigma2_w": 1, "epochs": 1e3,
-               "hidden": 7, "batch_size": None}
+               "hidden": 7}
         _, arch, priors, _, train_cfg, _, _ = build_experiment(cfg, 0)
         assert type(priors.sigma2_w) is float and priors.sigma2_w == 1.0
         assert type(train_cfg.epochs) is int and train_cfg.epochs == 1000
         assert arch.hidden_layers == (7,)
-        assert train_cfg.batch_size is None
 
 
 class TestExpandGrid:
@@ -283,10 +280,11 @@ class TestTrain:
     @pytest.mark.parametrize(
         "line",
         [
-            "eb_w = no", "standardize = no", "variance_only_first = maybe", "sigma2_w = abc",
-            "epochs = 1.5", "epochs = [2, 3]", "batch_size = 2.5", "data_seed = abc",
+            "eb_w = no", "standardize = no", "variance_only_first = true", "sigma2_w = abc",
+            "epochs = 1.5", "epochs = [2, 3]", "batch_size = 8", "data_seed = abc",
             "hidden = abc", "hidden = 0", "leaky_slope = 2", "latent_dim = -1",
             "sizes = [10, 5]", "sizes = [0, 20, 20]", "n_mc = 0", "n_mc = -1",
+            "warm_epochs = none", "eb_z = null",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch, line):
@@ -304,6 +302,21 @@ class TestTrain:
         monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
         cfg_path = tmp_path / "nan.cfg"
         cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + f"{key} = {value}\n")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
+    @pytest.mark.parametrize("line", ["method = BNN", "hidden = [10]"])
+    def test_ground_truth_init_needs_generative_architecture(
+        self, tmp_path, capsys, monkeypatch, line
+    ):
+        # distilling the data fits a net, but no training epoch may start
+        monkeypatch.setattr("bnnlv.ncai.objective_graph", _fails_if_called)
+        cfg_path = tmp_path / "gt.cfg"
+        cfg_path.write_text(
+            "dataset = heavy_tail\ndistill = true\nsizes = [12, 4, 4]\n"
+            "init = ground_truth\nepochs = 2\nrestarts = 1\n" + line + "\n"
+        )
         out = tmp_path / "o"
         code = main(["train", "--config", str(cfg_path), "--out", str(out)])
         _assert_config_error(code, capsys, out)
@@ -484,6 +497,27 @@ class TestDecompose:
         code = main(["decompose", "--dataset", "bimodal", "--x-grid", "0:1:3",
                      flag, value, "--out", str(out)])
         _assert_config_error(code, capsys, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nonident-demo", "--transform", "node", "--c", "0"],
+        ["nonident-demo", "--transform", "layer", "--sigma2-x", "-1"],
+        ["nonident-demo", "--transform", "node", "--sigma2-x", "-1"],
+        ["nonident-demo", "--transform", "layer", "--t-scale", "0"],
+        ["nonident-demo", "--transform", "layer", "--hidden", "-1"],
+        ["decompose", "--dataset", "depeweg", "--x-grid", "1:2:0"],
+    ],
+    ids=["node-c-0", "layer-sigma2-x", "node-sigma2-x", "layer-t-scale-0", "layer-hidden",
+         "empty-x-grid"],
+)
+def test_degenerate_demo_parameters_are_config_errors(tmp_path, capsys, monkeypatch, argv):
+    # decompose checks its grid before it builds a model
+    monkeypatch.setattr("bnnlv.cli.gen_synthetic", _fails_if_called)
+    out = tmp_path / "demo"
+    code = main(argv + ["--out", str(out)])
+    _assert_config_error(code, capsys, out)
 
 
 class TestGrid:

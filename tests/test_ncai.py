@@ -315,6 +315,13 @@ class TestMapEstimate:
         with pytest.raises(ConfigError, match="init"):
             map_estimate(data, PriorConfig(), arch, init="bogus", seed=0)
 
+    def test_ground_truth_init_needs_generative_architecture(self):
+        data = gen_synthetic("heavy_tail", seed=2, sizes=(10, 0, 0), distill=True)
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
+        with pytest.raises(ConfigError, match="generative architecture") as err:
+            map_estimate(data, PriorConfig(), arch, init="ground_truth", seed=0)
+        assert str(data.gt_arch) in str(err.value) and str(arch) in str(err.value)
+
     def test_divergence_raises(self):
         data = gen_synthetic("heavy_tail", seed=3, sizes=(10, 0, 0))
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)

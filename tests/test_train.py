@@ -231,7 +231,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=30, restarts=1, init="warm", warm_epochs=50)
         _, h_ncai = train(data, arch, PriorConfig(sigma2_eps=0.1), zero, cfg, "NCAI", seed=4)
         _, h_bbb = train(data, arch, PriorConfig(sigma2_eps=0.1), zero, cfg, "BNNLV_BBB", seed=4)
-        assert h_ncai.objective == h_bbb.objective
+        assert h_ncai.columns["objective"] == h_bbb.columns["objective"]
 
     def test_deterministic_given_seed(self):
         data = gen_synthetic("heavy_tail", seed=1, sizes=(15, 0, 0))
@@ -240,7 +240,7 @@ class TestTrain:
         qa, ha = train(data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=9)
         qb, hb = train(data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=9)
         assert np.array_equal(qa.mu_w, qb.mu_w)
-        assert ha.objective == hb.objective
+        assert ha.columns["objective"] == hb.columns["objective"]
 
     def test_eb_updates_move_prior_variances(self):
         data = gen_synthetic("heavy_tail", seed=2, sizes=(15, 0, 0))
@@ -248,9 +248,9 @@ class TestTrain:
         priors = PriorConfig(sigma2_w=5.0, sigma2_z=5.0, eb_w=True, eb_z=True)
         cfg = TrainConfig(epochs=20, restarts=1, warm_epochs=20)
         _, h = train(data, arch, priors, NcaiConfig(), cfg, "NCAI", seed=0)
-        assert h.s_z[-1] != 5.0
-        assert h.s_w[-1] != 5.0
-        assert min(h.s_z) > 0.0 and min(h.s_w) > 0.0
+        assert h.columns["s_z"][-1] != 5.0
+        assert h.columns["s_w"][-1] != 5.0
+        assert min(h.columns["s_z"]) > 0.0 and min(h.columns["s_w"]) > 0.0
 
     def test_ground_truth_init_runs_variance_phase_first(self):
         data = gen_synthetic("heavy_tail", seed=3, sizes=(12, 0, 0), distill=True)
@@ -258,8 +258,41 @@ class TestTrain:
         _, h = train(
             data, data.gt_arch, PriorConfig(sigma2_w=10.0), NcaiConfig(), cfg, "NCAI", seed=0
         )
-        phases = list(dict.fromkeys(h.phase))
+        phases = list(dict.fromkeys(h.columns["phase"]))
         assert phases == ["variance", "joint"]
+
+    @pytest.mark.parametrize(
+        "init, phases",
+        [("map", ["variance", "joint"]), ("random", ["joint"]), ("warm", ["joint"])],
+        ids=["map", "random", "warm"],
+    )
+    def test_only_fitted_means_get_a_variance_phase(self, init, phases):
+        data = gen_synthetic("heavy_tail", seed=3, sizes=(12, 0, 0))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        cfg = TrainConfig(epochs=4, restarts=1, warm_epochs=10, init=init)
+        _, h = train(data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=0)
+        assert list(dict.fromkeys(h.columns["phase"])) == phases
+
+    def test_map_start_repeats_for_a_seed(self):
+        data = gen_synthetic("depeweg", seed=6, sizes=(12, 0, 0))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        cfg = TrainConfig(epochs=6, restarts=1, warm_epochs=15, init="map")
+        qa, ha = train(data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=2)
+        qb, hb = train(data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=2)
+        for a, b in zip(qa.params(), qb.params()):
+            assert np.array_equal(a, b)
+        assert ha.columns == hb.columns
+
+    @pytest.mark.parametrize(
+        "method, hidden", [("NCAI", (10,)), ("BNN", (50,))], ids=["hidden", "bnn"]
+    )
+    def test_ground_truth_init_needs_generative_architecture(self, method, hidden):
+        data = gen_synthetic("heavy_tail", seed=3, sizes=(12, 0, 0), distill=True)
+        arch = Architecture(input_dim_x=1, input_dim_z=int(method != "BNN"), hidden_layers=hidden)
+        cfg = TrainConfig(epochs=4, restarts=1, init="ground_truth")
+        with pytest.raises(ConfigError, match="generative architecture") as err:
+            train(data, arch, PriorConfig(), NcaiConfig(), cfg, method, seed=0)
+        assert str(data.gt_arch) in str(err.value) and str(arch) in str(err.value)
 
     def test_divergence_carries_history(self):
         data = gen_synthetic("heavy_tail", seed=4, sizes=(10, 0, 0))

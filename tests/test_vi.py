@@ -152,38 +152,6 @@ class TestElbo:
         assert parts["kl_w"] == pytest.approx(0.0, abs=1e-9)
         assert parts["kl_z"] == pytest.approx(0.0, abs=1e-9)
 
-    def test_batch_scaling_identity_without_latents(self):
-        # identical rows: a singleton batch scaled by N reproduces the full
-        # ELBO draw for draw because the rng consumption matches
-        arch = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(2,), output_dim=1)
-        n = 6
-        data = _dataset(np.full((n, 1), 0.4), np.full((n, 1), -0.2))
-        q = random_init(arch, n, seed=2)
-        priors = PriorConfig(sigma2_eps=0.1)
-        full = elbo(q, data, priors, n_mc=8, seed=5)
-        part = elbo(q, data, priors, n_mc=8, seed=5, batch=[0])
-        assert part == pytest.approx(full, rel=1e-12)
-
-    def test_batches_average_to_full(self):
-        # near-deterministic q (tiny sigmas) so MC noise is negligible
-        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(2,), output_dim=1)
-        rng = np.random.default_rng(4)
-        q = MeanFieldPosterior(
-            arch,
-            rng.standard_normal(arch.param_count),
-            np.full(arch.param_count, -30.0),
-            rng.standard_normal((2, 1)),
-            np.full((2, 1), -30.0),
-        )
-        data = _dataset([[0.1], [0.9]], [[0.0], [1.0]])
-        priors = PriorConfig(sigma2_eps=0.1)
-        full = elbo(q, data, priors, n_mc=1, seed=0)
-        avg = 0.5 * (
-            elbo(q, data, priors, n_mc=1, seed=0, batch=[0])
-            + elbo(q, data, priors, n_mc=1, seed=0, batch=[1])
-        )
-        assert avg == pytest.approx(full, abs=1e-6)
-
     def test_same_seed_reproduces(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
         q = random_init(arch, 5, seed=0)
@@ -217,15 +185,14 @@ class TestBatchedElbo:
         return float(node.value), {k: leaf.grad for k, leaf in leaves.items()}
 
     @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("batch", [None, [3, 0, 7, 7, 12]])
     @pytest.mark.parametrize("n_mc", [1, 16])
-    def test_matches_per_sample_loop(self, n_mc, batch, k):
+    def test_matches_per_sample_loop(self, n_mc, k):
         data = gen_synthetic("heavy_tail", seed=4, sizes=(20, 0, 0))
         view = data.view("train")
         arch = Architecture(input_dim_x=1, input_dim_z=k, hidden_layers=(6, 4), output_dim=1)
         q = random_init(arch, 20, seed=2)
         priors = PriorConfig(sigma2_w=0.8, sigma2_z=0.6, sigma2_eps=0.2)
-        args = (arch, view.x, view.y, priors, n_mc, 5, batch)
+        args = (arch, view.x, view.y, priors, n_mc, 5)
         got, got_g = self._value_and_grads(
             lambda lv: elbo_graph(args[0], lv, *args[1:])[0], q
         )
