@@ -66,11 +66,17 @@ class DataSet:
     def ground_truth(self, arch):
         """Generative weights and train-split latents, for a net shaped ``arch``.
 
-        Raises ConfigError when the data set stores none, or when ``arch``
-        is not the architecture the weights belong to.
+        Raises ConfigError when the data set stores none, when ``arch`` is
+        not the architecture the weights belong to, or when the data are
+        standardized (the weights fit the targets in their original units).
         """
         if self.w_true is None or self.z_true is None:
             raise ConfigError("ground_truth init requires stored generative weights and latents")
+        if self.is_standardized:
+            raise ConfigError(
+                "init = ground_truth cannot start on standardized data: the generative "
+                "weights are in original units; drop standardize or pick another init"
+            )
         if arch != self.gt_arch:
             raise ConfigError(
                 f"ground_truth init needs the generative architecture {self.gt_arch}, got {arch}"

@@ -172,8 +172,10 @@ class PointMassWeights:
         self.input_dim_z = arch.input_dim_z
         self.output_dim = arch.output_dim
 
-    def draw_weights(self, rng):
-        return self.w
+    def weight_sampler(self):
+        """rng -> the one weight vector (the rng is not used)."""
+        w = self.w
+        return lambda rng: w
 
     def draw_function(self, rng):
         arch, w = self.arch, self.w
@@ -199,8 +201,9 @@ def predictive_means(q_w, priors, X, S, rng):
     from the prior p(z), never from trained per-point posteriors (z is None
     when the model has no latent inputs). This is the only loop over
     predictive draws; every predictive sampler and metric reads its array.
-    A posterior with weights (``draw_weights``) runs ``_DRAW_CHUNK`` draws
-    per forward pass; a ``FixedFunction`` is called once per draw. Either
+    A posterior with weights (``weight_sampler``, made once per call so
+    the weight scale is computed once) runs ``_DRAW_CHUNK`` draws per
+    forward pass; a ``FixedFunction`` is called once per draw. Either
     way the rng gives each draw its weights, then its latents, in draw
     order, so the chunking changes no value.
     """
@@ -213,12 +216,13 @@ def predictive_means(q_w, priors, X, S, rng):
             z = rng.normal(0.0, sd_z, size=(n, k)) if k > 0 else None
             out[s] = np.reshape(f(X, z), (n, -1))
         return out
+    draw_weights = q_w.weight_sampler()
     w = np.empty((_DRAW_CHUNK, q_w.arch.param_count))
     z = np.empty((_DRAW_CHUNK, n, k))
     for lo in range(0, S, _DRAW_CHUNK):
         c = min(_DRAW_CHUNK, S - lo)
         for j in range(c):
-            w[j] = q_w.draw_weights(rng)
+            w[j] = draw_weights(rng)
             if k > 0:
                 z[j] = rng.normal(0.0, sd_z, size=(n, k))
         out[lo : lo + c] = dc.mlp_forward(q_w.arch, w[:c], X, z[:c])

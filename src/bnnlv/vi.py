@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import diffcore as dc
 from .diffcore import Architecture
@@ -69,11 +68,17 @@ class MeanFieldPosterior:
     def sigma_z(self):
         return dc.softplus(self.rho_z)
 
-    def draw_weights(self, rng):
-        return self.mu_w + self.sigma_w * rng.standard_normal(self.mu_w.shape)
+    def weight_sampler(self):
+        """rng -> one flat weight draw mu_w + sigma_w * eps.
+
+        The scale is computed here, once, so a pass of many draws pays one
+        softplus; draw again through a new sampler after ``rho_w`` changes.
+        """
+        mu, sigma = self.mu_w, self.sigma_w
+        return lambda rng: mu + sigma * rng.standard_normal(mu.shape)
 
     def draw_function(self, rng):
-        w = self.draw_weights(rng)
+        w = self.weight_sampler()(rng)
         arch = self.arch
         return lambda x, z=None: dc.mlp_forward(arch, w, x, z)
 
@@ -205,11 +210,41 @@ def elbo(q, data, priors, n_mc=64, seed=0, return_parts=False):
     return float(dc._val(node))
 
 
+def _logsumexp_rows(a):
+    """``scipy.special.logsumexp(a, axis=1)`` for a real 2-D float array,
+    computed step for step as scipy 1.17 does; ``a`` is overwritten.
+
+    scipy splits the m entries equal to the row max out of the shifted sum
+    (Blanchard, Higham & Higham, 2021): with s the pairwise sum of
+    exp(a - max) over the other entries, a row is log1p(s / m) + log(m) +
+    max. scipy also computes log(sum(exp(row))) for every row and keeps it
+    where that result is not finite. Here the max entries are zeroed after
+    the exp, not set to -inf before it, so a row whose max is -inf, +inf or
+    NaN already comes out -inf, +inf or NaN as that fallback would, and the
+    second exp pass over the block is skipped.
+    """
+    if a.shape[1] == 0:
+        return np.full(a.shape[0], -np.inf)
+    amax = a.max(axis=1, keepdims=True)
+    is_max = a == amax
+    m = np.count_nonzero(is_max, axis=1).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only rows with a non-finite max
+        np.subtract(a, amax, out=a)
+        np.exp(a, out=a)
+        np.copyto(a, 0.0, where=is_max)
+        s = a.sum(axis=1)
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s)
+        out += np.log(m)
+        out += amax[:, 0]
+    return out
+
+
 def aggregated_posterior_logpdf(q, points):
     """Log density of the equal-weight mixture of all per-point latent factors.
 
     ``points`` is (M, K) or a single (K,) point; returns (M,) or a float.
-    Memory is O(_LOGPDF_CHUNK * N) for N components.
+    Memory is O(_LOGPDF_CHUNK * N * K) for N components.
     """
     if q.input_dim_z == 0:
         raise ValueError("posterior has no latent block")
@@ -221,12 +256,25 @@ def aggregated_posterior_logpdf(q, points):
     mu = q.mu_z
     var = np.asarray(q.sigma_z) ** 2
     log_norm = np.log(2.0 * np.pi * var)
+    n, k = mu.shape
+    rows = min(_LOGPDF_CHUNK, pts.shape[0])
+    terms = np.empty((rows, n, k))
+    # (rows, N) component log densities, summed over coordinates; at K = 1
+    # they are the terms' only coordinate, since a sum of one term is exact
+    comp = terms[:, :, 0] if k == 1 else np.empty((rows, n))
     out = np.empty(pts.shape[0])
-    # (rows, N) component log densities, summed over coordinates; each row's
-    # logsumexp is independent of the others, so chunks change no value
+    # each row's logsumexp is independent of the others, so chunks change
+    # no value
     for lo in range(0, pts.shape[0], _LOGPDF_CHUNK):
-        diff = pts[lo : lo + _LOGPDF_CHUNK, None, :] - mu[None, :, :]
-        comp = -0.5 * np.sum(diff * diff / var + log_norm, axis=2)
-        out[lo : lo + _LOGPDF_CHUNK] = logsumexp(comp, axis=1)
-    out -= np.log(mu.shape[0])
+        r = min(_LOGPDF_CHUNK, pts.shape[0] - lo)
+        t, c = terms[:r], comp[:r]
+        np.subtract(pts[lo : lo + r, None, :], mu, out=t)
+        np.square(t, out=t)
+        t /= var
+        t += log_norm
+        if k > 1:
+            np.sum(t, axis=2, out=c)
+        c *= -0.5
+        out[lo : lo + r] = _logsumexp_rows(c)
+    out -= np.log(n)
     return float(out[0]) if single else out

@@ -321,6 +321,24 @@ class TestTrain:
         code = main(["train", "--config", str(cfg_path), "--out", str(out)])
         _assert_config_error(code, capsys, out)
 
+    def test_ground_truth_init_on_standardized_data_is_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the generative weights fit the raw targets, not the z-scored ones
+        monkeypatch.setattr("bnnlv.ncai.objective_graph", _fails_if_called)
+        cfg_path = tmp_path / "gt_std.cfg"
+        cfg_path.write_text(
+            "dataset = heavy_tail\ndistill = true\nstandardize = true\nsizes = [12, 4, 4]\n"
+            "init = ground_truth\nepochs = 2\nrestarts = 1\n"
+        )
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "standardize" in err["message"] and "init = ground_truth" in err["message"]
+        assert not os.path.exists(out)
+
     def test_too_few_eval_samples_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
         cfg_path = tmp_path / "few.cfg"

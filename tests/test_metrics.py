@@ -354,16 +354,24 @@ class TestComputeReport:
         data = gen_synthetic("heavy_tail", seed=7, sizes=(15, 0, 10))
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
         q = random_init(arch, 15, seed=3)
-        calls = []
-        draw = q.draw_weights
+        calls, samplers = [], []
+        make_sampler = q.weight_sampler
 
-        def counted(rng):
-            calls.append(1)
-            return draw(rng)
+        def counted_sampler():
+            samplers.append(1)
+            draw = make_sampler()
 
-        q.draw_weights = counted
+            def counted(rng):
+                calls.append(1)
+                return draw(rng)
+
+            return counted
+
+        q.weight_sampler = counted_sampler
         compute_report(q, data, PriorConfig(), s=150, seed=0)
         assert len(calls) == 150
+        # one weight scale per predictive pass
+        assert len(samplers) == 1
 
     def test_keeps_at_most_two_sample_blocks(self):
         # a weight-only model has no latent diagnostics, so the peak is the

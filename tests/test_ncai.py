@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bnnlv import diffcore as dc
-from bnnlv.data import DataSet, gen_synthetic
+from bnnlv.data import DataSet, gen_synthetic, standardize
 from bnnlv.diffcore import Architecture, mlp_forward
 from bnnlv.exceptions import ConfigError, DivergenceError
 from bnnlv.model import PriorConfig
@@ -321,6 +321,12 @@ class TestMapEstimate:
         with pytest.raises(ConfigError, match="generative architecture") as err:
             map_estimate(data, PriorConfig(), arch, init="ground_truth", seed=0)
         assert str(data.gt_arch) in str(err.value) and str(arch) in str(err.value)
+
+    def test_ground_truth_init_rejects_standardized_data(self):
+        data = standardize(gen_synthetic("heavy_tail", seed=2, sizes=(10, 0, 0), distill=True))
+        with pytest.raises(ConfigError, match="standardize") as err:
+            map_estimate(data, PriorConfig(), data.gt_arch, init="ground_truth", seed=0)
+        assert "init = ground_truth" in str(err.value)
 
     def test_divergence_raises(self):
         data = gen_synthetic("heavy_tail", seed=3, sizes=(10, 0, 0))

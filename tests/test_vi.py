@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -13,6 +15,7 @@ from bnnlv.model import PriorConfig
 from bnnlv.vi import (
     _LOGPDF_CHUNK,
     MeanFieldPosterior,
+    _logsumexp_rows,
     aggregated_posterior_logpdf,
     elbo,
     elbo_graph,
@@ -106,15 +109,29 @@ class TestPosterior:
     def test_draws_deterministic_given_rng(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(2,), output_dim=1)
         q = random_init(arch, 4, seed=1)
-        w1 = q.draw_weights(np.random.default_rng(9))
-        w2 = q.draw_weights(np.random.default_rng(9))
+        w1 = q.weight_sampler()(np.random.default_rng(9))
+        w2 = q.weight_sampler()(np.random.default_rng(9))
         assert np.array_equal(w1, w2)
+        eps = np.random.default_rng(9).standard_normal(q.mu_w.shape)
+        assert np.array_equal(w1, q.mu_w + softplus(q.rho_w) * eps)
         f = q.draw_function(np.random.default_rng(9))
         x = np.array([[0.3]])
         z = np.array([[0.1]])
         assert np.array_equal(f(x, z), f(x, z))
         with pytest.raises(ValueError, match="architecture requires latent inputs z"):
             f(x)
+
+    def test_new_sampler_reads_updated_scale(self):
+        # training updates rho_w in place; a sampler made afterwards must
+        # not reuse the old scale
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(2,), output_dim=1)
+        q = random_init(arch, 4, seed=1)
+        before = q.weight_sampler()(np.random.default_rng(9))
+        q.rho_w += 1.0
+        after = q.weight_sampler()(np.random.default_rng(9))
+        eps = np.random.default_rng(9).standard_normal(q.mu_w.shape)
+        assert np.array_equal(after, q.mu_w + softplus(q.rho_w) * eps)
+        assert not np.array_equal(before, after)
 
 
 class TestElbo:
@@ -213,6 +230,68 @@ class TestBatchedElbo:
             ), name
 
 
+def _assert_matches_scipy(a):
+    want = logsumexp(a, axis=1)
+    got = _logsumexp_rows(a.copy())
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+
+
+class TestLogsumexpRows:
+    # the private copy must equal the installed scipy bit for bit; a scipy
+    # release that changes its algorithm fails here rather than drifting
+
+    def test_tied_maxima(self):
+        a = np.round(np.random.default_rng(0).standard_normal((40, 30)))
+        a[0] = 2.5
+        a[1, [3, 7, 11]] = 9.0
+        _assert_matches_scipy(a)
+
+    def test_rows_with_minus_inf(self):
+        a = np.random.default_rng(1).standard_normal((6, 20))
+        a[0, :5] = -np.inf
+        a[1, ::2] = -np.inf
+        a[2, :-1] = -np.inf
+        a[3] = -np.inf  # all -inf: the fallback gives -inf
+        _assert_matches_scipy(a)
+
+    def test_plus_inf_and_nan(self):
+        a = np.random.default_rng(2).standard_normal((6, 10))
+        a[0, 4] = np.inf
+        a[1, [2, 5]] = np.inf
+        a[2, 3] = np.nan
+        a[3, :] = np.nan
+        a[4, [0, 1, 2]] = np.inf, -np.inf, np.nan
+        a[5, [0, 1]] = np.inf, -np.inf
+        _assert_matches_scipy(a)
+
+    def test_extreme_magnitudes(self):
+        a = np.random.default_rng(3).standard_normal((4, 9))
+        a[0] = 1e308
+        a[1, 2] = 1e308
+        a[2] = -1e308
+        a[3, 5] = -1e308
+        _assert_matches_scipy(a)
+
+    def test_single_column_and_single_row(self):
+        a = np.random.default_rng(4).standard_normal((5, 7))
+        _assert_matches_scipy(a[:, :1])
+        _assert_matches_scipy(a[:1])
+        _assert_matches_scipy(a[:1, :1])
+        _assert_matches_scipy(np.empty((3, 0)))
+
+    @given(data=st.data())
+    def test_random_shapes_and_scales(self, data):
+        rows = data.draw(st.integers(1, 70))
+        cols = data.draw(st.integers(1, 400))
+        scale = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        a = scale * np.random.default_rng(seed).standard_normal((rows, cols))
+        if data.draw(st.booleans()):
+            a = np.round(a)  # many ties
+        _assert_matches_scipy(a)
+
+
 class TestAggregatedPosterior:
     def test_matches_direct_mixture(self):
         arch = Architecture(input_dim_x=1, input_dim_z=2, hidden_layers=(2,), output_dim=1)
@@ -259,3 +338,38 @@ class TestAggregatedPosterior:
         pts = np.random.default_rng(m).standard_normal((m, k))
         got = aggregated_posterior_logpdf(q, pts)
         assert np.array_equal(got, dense_mixture_logpdf(q.mu_z, np.asarray(q.sigma_z) ** 2, pts))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_points_on_component_means_match_dense_oracle_exactly(self, k):
+        # a point on a mean ties its component's top term with no other
+        arch = Architecture(input_dim_x=1, input_dim_z=k, hidden_layers=(2,), output_dim=1)
+        q = random_init(arch, 300, seed=11)
+        q.rho_z[:] = 0.3  # equal scales: repeated means give tied maxima
+        q.mu_z[150:] = q.mu_z[:150]
+        pts = q.mu_z[::2].copy()
+        got = aggregated_posterior_logpdf(q, pts)
+        assert np.array_equal(got, dense_mixture_logpdf(q.mu_z, np.asarray(q.sigma_z) ** 2, pts))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_single_component_matches_dense_oracle_exactly(self, k):
+        arch = Architecture(input_dim_x=1, input_dim_z=k, hidden_layers=(2,), output_dim=1)
+        q = random_init(arch, 1, seed=12)
+        pts = np.vstack([q.mu_z, np.random.default_rng(12).standard_normal((70, k))])
+        got = aggregated_posterior_logpdf(q, pts)
+        assert np.array_equal(got, dense_mixture_logpdf(q.mu_z, np.asarray(q.sigma_z) ** 2, pts))
+
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_zero_scale_component_matches_dense_oracle_exactly(self, k, n):
+        # softplus(-800) underflows to 0: that component's terms are inf or
+        # NaN, so every row takes the non-finite fallback
+        arch = Architecture(input_dim_x=1, input_dim_z=k, hidden_layers=(2,), output_dim=1)
+        q = random_init(arch, n, seed=13)
+        q.rho_z[0] = -800.0
+        assert np.all(q.sigma_z[0] == 0.0)
+        pts = np.vstack([q.mu_z[:1], np.random.default_rng(13).standard_normal((70, k))])
+        got = aggregated_posterior_logpdf(q, pts)
+        want = dense_mixture_logpdf(q.mu_z, np.asarray(q.sigma_z) ** 2, pts)
+        assert not np.any(np.isfinite(want))
+        assert np.array_equal(got, want, equal_nan=True)
