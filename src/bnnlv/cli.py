@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -174,10 +175,33 @@ def _write_text_atomic(path, text):
         raise
 
 
+def _nonfinite_key(obj, key=""):
+    """The dotted key of the first NaN or infinite number in ``obj``, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else key
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for k, v in items:
+        found = _nonfinite_key(v, f"{key}.{k}" if key else str(k))
+        if found is not None:
+            return found
+    return None
+
+
 def _write_json(path, obj, schema=None):
     if schema is not None:
         jsonschema.validate(obj, schema)
-    _write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    try:  # JSON has no NaN or Infinity, which json.dumps writes by default
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DivergenceError(
+            f"{os.path.basename(path)}: {_nonfinite_key(obj)} is not finite; nothing written"
+        ) from None
+    _write_text_atomic(path, text + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -474,6 +498,10 @@ def _load_model(path):
 
 def cmd_evaluate(args):
     check_interval_samples(args.samples)
+    if args.dataset and any((args.train_csv, args.val_csv, args.test_csv)):
+        raise ConfigError("evaluate takes --dataset or the --*-csv splits, not both")
+    if args.sizes and not args.dataset:
+        raise ConfigError("--sizes applies only to --dataset")
     sizes = parse_sizes(args.sizes) if args.sizes else None
     q, priors, method = _load_model(args.model)
     if args.dataset:
@@ -569,9 +597,11 @@ def cmd_decompose(args):
     if args.s_w < 1 or args.s_inner <= 5:
         raise ConfigError("decompose needs --s-w >= 1 and --s-inner > 5")
     grid = _parse_grid_spec(args.x_grid)
+    if bool(args.model) == bool(args.dataset):
+        raise ConfigError("decompose needs exactly one of --model and --dataset")
     if args.model:
         q_w, priors, _ = _load_model(args.model)
-    elif args.dataset:
+    else:
         probe = gen_synthetic(args.dataset, 0, sizes=(2, 1, 1))
         if probe.sigma2_z_true is None:
             raise ConfigError(f"dataset {args.dataset!r} has no latent-noise ground truth")
@@ -579,8 +609,6 @@ def cmd_decompose(args):
         priors = PriorConfig(
             sigma2_z=probe.sigma2_z_true, sigma2_eps=probe.sigma2_eps_true
         )
-    else:
-        raise ConfigError("decompose needs --model or --dataset")
     rows = []
     for i, xv in enumerate(grid):
         parts = uncertainty_decomposition(

@@ -1,4 +1,4 @@
-"""Datasets: synthetic generators, CSV loading, splitting, standardization.
+"""Datasets: synthetic generators, CSV loading, split views, standardization.
 
 Five of the six synthetic problems are heteroscedastic or multimodal
 regressions from the evaluation suite; three of them (heavy_tail,
@@ -32,10 +32,7 @@ class DataSet:
     gt_arch: Architecture | None = None
     sigma2_eps_true: float | None = None
     sigma2_z_true: float | None = None
-    x_mean: np.ndarray | None = None
-    x_std: np.ndarray | None = None
-    y_mean: np.ndarray | None = None
-    y_std: np.ndarray | None = None
+    standardized: bool = False
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
@@ -59,10 +56,6 @@ class DataSet:
     def output_dim(self):
         return self.y.shape[1]
 
-    @property
-    def is_standardized(self):
-        return self.y_mean is not None
-
     def ground_truth(self, arch):
         """Generative weights and train-split latents, for a net shaped ``arch``.
 
@@ -72,7 +65,7 @@ class DataSet:
         """
         if self.w_true is None or self.z_true is None:
             raise ConfigError("ground_truth init requires stored generative weights and latents")
-        if self.is_standardized:
+        if self.standardized:
             raise ConfigError(
                 "init = ground_truth cannot start on standardized data: the generative "
                 "weights are in original units; drop standardize or pick another init"
@@ -289,29 +282,13 @@ def load_csv(path, n_targets=1):
     )
 
 
-def split(data, ratios=(0.7, 0.2, 0.1), seed=0):
-    """Randomly reassign rows to train/val/test with the given proportions."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must be three non-negatives summing to 1, got {ratios}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(data.n)
-    n_tr = int(data.n * ratios[0])
-    n_va = int(data.n * ratios[1])
-    return replace(
-        data,
-        train_idx=perm[:n_tr],
-        val_idx=perm[n_tr : n_tr + n_va],
-        test_idx=perm[n_tr + n_va :],
-    )
-
-
 def standardize(data):
     """Z-score x and y by the training-split statistics.
 
-    Returns the transformed copy; the per-column means and stds are stored
-    on it so predictions can be mapped back to original units.
+    Returns the transformed copy, marked ``standardized``; every metric of
+    a model fit to it is in standardized units.
     """
-    if data.is_standardized:
+    if data.standardized:
         raise ConfigError("data is already standardized")
     xs = data.x[data.train_idx]
     ys = data.y[data.train_idx]
@@ -325,15 +302,5 @@ def standardize(data):
         data,
         x=(data.x - x_mean) / x_std,
         y=(data.y - y_mean) / y_std,
-        x_mean=x_mean,
-        x_std=x_std,
-        y_mean=y_mean,
-        y_std=y_std,
+        standardized=True,
     )
-
-
-def unstandardize_y(data, y):
-    """Map standardized targets or predictions back to original units."""
-    if not data.is_standardized:
-        return y
-    return y * data.y_std + data.y_mean

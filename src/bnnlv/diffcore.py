@@ -5,7 +5,10 @@ walks the tape once in reverse topological order and accumulates exact
 gradients into ``Node.grad``. All operations also accept plain arrays or
 scalars, in which case they compute with numpy directly and return an
 array, so the same model code serves both the differentiable training
-path and fast plain-numpy evaluation.
+path and fast plain-numpy evaluation. These functions are the only way
+to build a graph: a ``Node`` has no arithmetic operators and no indexing,
+so a Python expression such as ``node + 1.0`` or ``node[0]`` raises
+TypeError.
 
 An op computes ``out`` from its operands' values and returns
 ``_op(name, out, (operand, vjp), ...)`` with one pair per operand, where
@@ -41,7 +44,7 @@ class Node:
     """One array value in a computation graph, with links to its parents."""
 
     __slots__ = ("value", "grad", "op", "_parents", "_vjps")
-    __array_ufunc__ = None  # keep numpy from absorbing us in mixed expressions
+    __array_ufunc__ = None  # numpy operators raise TypeError on a Node too
 
     def __init__(self, value, parents=(), vjps=(), op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
@@ -64,43 +67,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, neg(other))
-
-    def __rsub__(self, other):
-        return add(other, neg(self))
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __getitem__(self, key):
-        return take(self, key)
 
 
 def leaf(value):
@@ -141,15 +107,6 @@ def div(a, b):
     av, bv = _val(a), _val(b)
     return _op("div", av / bv, (a, lambda g, d=bv, s=av.shape: _unbroadcast(g / d, s)),
                (b, lambda g, n=av, d=bv, s=bv.shape: _unbroadcast(-g * n / (d * d), s)))
-
-
-def power(a, exponent):
-    """Elementwise power with a constant (non-Node) exponent."""
-    if isinstance(exponent, Node):
-        raise TypeError("exponent must be a constant")
-    c = float(exponent)
-    av = _val(a)
-    return _op("pow", av**c, (a, lambda g, x=av: g * c * x ** (c - 1.0)))
 
 
 def exp(a):
@@ -396,17 +353,11 @@ def xavier_normal_weights(arch, rng, gain=1.0):
 
 
 def _prep_inputs(arch, x, z, lead):
-    """Check the shapes of x and z against ``arch`` and a weight block of
-    leading shape ``lead``; a single row (no block) becomes a 1-row matrix."""
-    x = _val(x) if not isinstance(x, Node) else x
-    single = _val(x).ndim == 1 and not lead
-    if single:
-        x = reshape(x, (1, -1)) if isinstance(x, Node) else np.reshape(x, (1, -1))
-        if z is not None:
-            z = reshape(z, (1, -1)) if isinstance(z, Node) else np.reshape(_val(z), (1, -1))
-    xv = _val(x)
-    if xv.ndim != 2 or xv.shape[1] != arch.input_dim_x:
-        raise ValueError(f"x must have {arch.input_dim_x} columns, got shape {xv.shape}")
+    """Check the shapes of an (N, D) array x and of z against ``arch`` and a
+    weight block of leading shape ``lead``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != arch.input_dim_x:
+        raise ValueError(f"x must have {arch.input_dim_x} columns, got shape {x.shape}")
     if arch.input_dim_z == 0:
         if z is not None and _val(z).size != 0:
             raise ValueError("architecture takes no latent inputs but z was given")
@@ -415,23 +366,23 @@ def _prep_inputs(arch, x, z, lead):
         if z is None:
             raise ValueError("architecture requires latent inputs z")
         zv = _val(z)
-        want = (*lead, xv.shape[0], arch.input_dim_z)
+        want = (*lead, x.shape[0], arch.input_dim_z)
         if zv.shape != want:
             raise ValueError(f"z must have shape {want}, got {zv.shape}")
-    return x, z, single
+    return x, z
 
 
 def mlp_forward(arch, w, x, z=None):
     """Forward pass through the network described by ``arch``.
 
-    ``w`` is the flat weight vector (P,), with ``x`` (N, D) or (D,) and
-    ``z`` (N, K) or (K,); the output is (N, L) or (L,). ``w`` may instead
-    be a block of C weight draws (C, P), with ``x`` (N, D) shared by every
-    draw and ``z`` (C, N, K): each layer is then one stacked matmul over
-    the C draws and the output is (C, N, L), draw c equal to the pass on
-    ``w[c]`` and ``z[c]`` alone. ``z`` is needed only when the
-    architecture has latent inputs. Any of the inputs may be a Node, in
-    which case the result is a Node.
+    ``w`` is the flat weight vector (P,), with ``x`` (N, D) and ``z``
+    (N, K); the output is (N, L). ``w`` may instead be a block of C weight
+    draws (C, P), with ``x`` shared by every draw and ``z`` (C, N, K): each
+    layer is then one stacked matmul over the C draws and the output is
+    (C, N, L), draw c equal to the pass on ``w[c]`` and ``z[c]`` alone.
+    ``z`` is needed only when the architecture has latent inputs. ``x`` is
+    a plain array; ``w`` and ``z`` may be Nodes, in which case the result
+    is a Node.
     """
     wv = _val(w)
     if wv.ndim not in (1, 2) or wv.shape[-1] != arch.param_count:
@@ -440,14 +391,12 @@ def mlp_forward(arch, w, x, z=None):
             f"got {wv.shape}"
         )
     lead = wv.shape[:-1]
-    x, z, single = _prep_inputs(arch, x, z, lead)
+    x, z = _prep_inputs(arch, x, z, lead)
 
     if z is None:
         h = x  # a shared (N, D) operand broadcasts over the draws in matmul
     elif lead:
-        xs = (*lead, *_val(x).shape)
-        h = concat([add(x, np.zeros(xs)) if isinstance(x, Node) else np.broadcast_to(x, xs), z],
-                   axis=-1)
+        h = concat([np.broadcast_to(x, (*lead, *x.shape)), z], axis=-1)
     else:
         h = concat([x, z], axis=1)
     slices = arch.layer_slices()
@@ -460,6 +409,4 @@ def mlp_forward(arch, w, x, z=None):
         h = add(matmul(h, wl), bl)
         if i < len(slices) - 1:
             h = leaky_relu(h, arch.leaky_slope)
-    if single:
-        h = reshape(h, (arch.output_dim,))
     return h

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.special import digamma, logsumexp
+from scipy.special import digamma
 from scipy.stats import ks_2samp
 
 from .diffcore import mlp_forward
@@ -72,23 +72,12 @@ def avg_marginal_ll(q_w, data, priors, which="test", s=2000, seed=0):
 
     Draws weights from ``q_w`` and latents from the prior, takes the mean
     of log p(y|x,W,z) over the S joint draws, then averages over points.
-    By Jensen this is a lower bound on the log predictive density, which
-    ``marginal_ll_lme`` estimates. The c08 gate, restart selection
+    By Jensen this is a lower bound on the log predictive density (the log
+    of the mean likelihood over the draws). The c08 gate, restart selection
     (``train.restart_select``) and ``bnnlv grid`` all score with this bound.
     """
     y, means, _ = _draw_means(q_w, data, priors, which, s, seed)
     return float(np.mean(_logp_matrix(means, y, priors.sigma2_eps)))
-
-
-def marginal_ll_lme(q_w, data, priors, which="test", s=2000, seed=0):
-    """Monte Carlo log predictive density: log of the mean likelihood per point.
-
-    Upper-bounds avg_marginal_ll (Jensen); equal for predictives that do
-    not vary across draws. Only a diagnostic: nothing selects or gates on it.
-    """
-    y, means, _ = _draw_means(q_w, data, priors, which, s, seed)
-    logp = _logp_matrix(means, y, priors.sigma2_eps)
-    return float(np.mean(logsumexp(logp, axis=0) - np.log(logp.shape[0])))
 
 
 def predictive_rmse(q_w, data, priors, which="test", s=2000, seed=0):

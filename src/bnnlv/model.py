@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .data import DataSet, ground_truth_fn
 from .exceptions import ConfigError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -131,35 +130,6 @@ def make_x_sampler(spec):
     raise ConfigError(f"unrecognized x sampler spec: {spec!r}")
 
 
-def sample_dataset(f, priors, n, x_sampler, seed, input_dim_z=1):
-    """Draw a dataset from the generative process with a known function f.
-
-    ``f`` is a callable f(x, z) -> targets or the name of a built-in
-    ground-truth function. All rows land in the train split.
-    """
-    if n < 0:
-        raise ConfigError(f"n must be non-negative, got {n}")
-    if isinstance(f, str):
-        f = ground_truth_fn(f)
-    rng = np.random.default_rng(seed)
-    x = np.atleast_2d(make_x_sampler(x_sampler)(rng, n))
-    z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, input_dim_z))
-    mean = np.asarray(f(x, z), dtype=np.float64)
-    if mean.ndim == 1:
-        mean = mean.reshape(n, -1)
-    y = mean + rng.normal(0.0, np.sqrt(priors.sigma2_eps), size=mean.shape)
-    return DataSet(
-        x=x,
-        y=y,
-        train_idx=np.arange(n),
-        val_idx=np.empty(0, dtype=np.intp),
-        test_idx=np.empty(0, dtype=np.intp),
-        z_true=z,
-        sigma2_eps_true=priors.sigma2_eps,
-        sigma2_z_true=priors.sigma2_z,
-    )
-
-
 class PointMassWeights:
     """Degenerate weight posterior concentrated on one weight vector."""
 
@@ -176,10 +146,6 @@ class PointMassWeights:
         """rng -> the one weight vector (the rng is not used)."""
         w = self.w
         return lambda rng: w
-
-    def draw_function(self, rng):
-        arch, w = self.arch, self.w
-        return lambda x, z=None: dc.mlp_forward(arch, w, x, z)
 
 
 class FixedFunction:

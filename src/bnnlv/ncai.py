@@ -159,11 +159,10 @@ def pearson_penalty(a, b):
     ac = av - av.mean(axis=0)
     ssa = (ac * ac).sum(axis=0)
     bc = dc.add(b, dc.neg(dc.mean_(b, axis=0, keepdims=True)))
-    bc_v = dc._val(bc)
 
     total = 0.0
     for j in range(k):
-        col = bc[:, j] if isinstance(bc, dc.Node) else bc_v[:, j]
+        col = dc.take(bc, (slice(None), j))
         ssb = dc.sum_(dc.mul(col, col))
         if float(dc._val(ssb)) == 0.0:
             continue

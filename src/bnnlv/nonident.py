@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
-from .model import log_joint, make_x_sampler
+from .model import make_x_sampler
 
 
 def node_transform(w, x, z, c):
@@ -176,11 +176,6 @@ def y_encoding_transform(data, arch):
         b_out=np.zeros(1),
     )
     return weights, z_hat
-
-
-def posterior_gap(arch, w, z, w_hat, z_hat, data, priors):
-    """Log-joint difference between a transformed and an original configuration."""
-    return log_joint(arch, w_hat, z_hat, data, priors) - log_joint(arch, w, z, data, priors)
 
 
 def c_lower_bound(mu_x, sigma2_x, sigma2_z):

@@ -82,11 +82,6 @@ class MeanFieldPosterior:
         arch = self.arch
         return lambda x, z=None: dc.mlp_forward(arch, w, x, z)
 
-    def copy(self):
-        return MeanFieldPosterior(
-            self.arch, self.mu_w.copy(), self.rho_w.copy(), self.mu_z.copy(), self.rho_z.copy()
-        )
-
     def params(self):
         return [self.mu_w, self.rho_w, self.mu_z, self.rho_z]
 
@@ -197,16 +192,14 @@ def _leaves_of(q):
     }
 
 
-def elbo(q, data, priors, n_mc=64, seed=0, return_parts=False):
+def elbo(q, data, priors, n_mc=64, seed=0):
     """Monte Carlo ELBO of the training split of ``data`` under posterior ``q``."""
     view = data.view("train")
     if view.x.shape[0] != q.n_train:
         raise ValueError(
             f"posterior holds {q.n_train} latent rows but the train split has {view.x.shape[0]}"
         )
-    node, parts = elbo_graph(q.arch, _leaves_of(q), view.x, view.y, priors, n_mc, seed)
-    if return_parts:
-        return float(dc._val(node)), {key: float(dc._val(v)) for key, v in parts.items()}
+    node, _ = elbo_graph(q.arch, _leaves_of(q), view.x, view.y, priors, n_mc, seed)
     return float(dc._val(node))
 
 

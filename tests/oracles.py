@@ -8,11 +8,13 @@ loops, which run the single-draw forward pass once per Monte Carlo draw to
 check the batched paths. The dense estimators hold every pairwise N x N (or
 M x N) array and check the k-d tree and row-chunked versions.
 """
+import functools
+
 import numpy as np
 from scipy.special import digamma, logsumexp
 
 from bnnlv import diffcore as dc
-from bnnlv.model import log_likelihood
+from bnnlv.model import FixedFunction, log_likelihood
 from bnnlv.vi import kl_diag_gaussian
 
 
@@ -224,11 +226,15 @@ def per_sample_elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
 
 def per_draw_predictive_means(q_w, priors, X, S, rng):
     """``model.predictive_means`` with one function and one forward pass per
-    draw: the function from ``draw_function``, then the prior latents."""
+    draw: the weights from ``weight_sampler()`` (a ``FixedFunction``'s
+    function from ``draw_function``), then the prior latents."""
     n, k = X.shape[0], q_w.input_dim_z
     out = np.empty((S, n, q_w.output_dim))
     for s in range(S):
-        f = q_w.draw_function(rng)
+        if isinstance(q_w, FixedFunction):
+            f = q_w.draw_function(rng)
+        else:
+            f = functools.partial(dc.mlp_forward, q_w.arch, q_w.weight_sampler()(rng))
         z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k)) if k > 0 else None
         out[s] = np.reshape(f(X, z), (n, -1))
     return out

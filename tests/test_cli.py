@@ -22,7 +22,7 @@ from bnnlv.cli import (
     parse_config,
 )
 from bnnlv.diffcore import Architecture
-from bnnlv.exceptions import ConfigError
+from bnnlv.exceptions import ConfigError, DivergenceError
 from bnnlv.model import PriorConfig
 from bnnlv.ncai import NcaiConfig
 from bnnlv.train import TrainConfig
@@ -167,6 +167,12 @@ class TestWriters:
         bad = {"transform": {}, "records": "nope"}
         with pytest.raises(jsonschema.ValidationError):
             _write_json(str(tmp_path / "x.json"), bad, GAPS_SCHEMA)
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_json_refuses_non_finite_numbers(self, tmp_path, value):
+        with pytest.raises(DivergenceError, match=r"x\.json: a\.b\.1 is not finite"):
+            _write_json(str(tmp_path / "x.json"), {"a": {"b": [1.0, value]}, "c": 2.0})
         assert not (tmp_path / "x.json").exists()
 
     def test_csv_floats_roundtrip(self, tmp_path):
@@ -417,6 +423,40 @@ class TestEvaluate:
                      "heavy_tail", "--sizes", sizes, "--out", str(out)])
         _assert_config_error(code, capsys, out)
 
+    def test_non_finite_metric_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # a zero latent scale (softplus(-800) underflows) makes the
+        # aggregated posterior density, and so js_z_prior, NaN
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
+        q = random_init(arch, 25, seed=0)
+        q.rho_z[3, 0] = -800.0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "method": "NCAI", "posterior": q.to_dict(),
+            "priors": {"sigma2_w": 1.0, "sigma2_z": 1.0, "sigma2_eps": 0.1},
+        }))
+        out = tmp_path / "e"
+        code = main(["evaluate", "--model", str(model), "--dataset", "heavy_tail",
+                     "--sizes", "25,8,8", "--samples", "100", "--out", str(out)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "divergence"
+        assert "js_z_prior" in err["message"]
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flags", [
+        ["--sizes", "5,5,5", "--train-csv", "tr.csv", "--val-csv", "va.csv", "--test-csv", "te.csv"],
+        ["--dataset", "heavy_tail", "--train-csv", "tr.csv"],
+        ["--dataset", "heavy_tail", "--val-csv", "va.csv"],
+        ["--dataset", "heavy_tail", "--test-csv", "te.csv"],
+    ], ids=["sizes-with-csv", "dataset-with-train-csv", "dataset-with-val-csv",
+            "dataset-with-test-csv"])
+    def test_ignored_data_flags_are_config_errors(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr("bnnlv.cli._load_model", _fails_if_called)
+        out = tmp_path / "e"
+        code = main(["evaluate", "--model", str(tmp_path / "model.json"), *flags,
+                     "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
     def test_latent_row_mismatch_is_config_error(self, tmp_path, capsys):
         out = _run_train(tmp_path, "NCAI", "base2")
         code = main(["evaluate", "--model", os.path.join(out, "model.json"),
@@ -505,6 +545,15 @@ class TestDecompose:
             rows = fh.read().splitlines()
         assert [float(r.split(",")[0]) for r in rows[1:]] == [-1.0, 1.0]
 
+
+    @pytest.mark.parametrize("flags", [["--model", "model.json", "--dataset", "bimodal"], []],
+                             ids=["model-and-dataset", "neither"])
+    def test_needs_exactly_one_source(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr("bnnlv.cli._load_model", _fails_if_called)
+        monkeypatch.setattr("bnnlv.cli.gen_synthetic", _fails_if_called)
+        out = tmp_path / "dc"
+        code = main(["decompose", *flags, "--x-grid", "0:1:3", "--out", str(out)])
+        _assert_config_error(code, capsys, out)
 
     @pytest.mark.parametrize(
         "flag, value", [("--s-w", "0"), ("--s-inner", "3"), ("--s-inner", "5")]

@@ -6,9 +6,7 @@ from bnnlv.data import (
     gen_synthetic,
     ground_truth_fn,
     load_csv,
-    split,
     standardize,
-    unstandardize_y,
 )
 from bnnlv.diffcore import mlp_forward
 from bnnlv.exceptions import ConfigError, CsvParseError
@@ -161,28 +159,15 @@ def test_load_csv_errors(tmp_path):
         load_csv(p3)
 
 
-def test_split_ratios():
-    data = gen_synthetic("goldberg", seed=0)
-    resplit = split(data, ratios=(0.5, 0.25, 0.25), seed=3)
-    assert len(resplit.train_idx) == 300
-    assert len(resplit.val_idx) == 150
-    assert len(resplit.test_idx) == 150
-    all_idx = np.sort(
-        np.concatenate([resplit.train_idx, resplit.val_idx, resplit.test_idx])
-    )
-    assert np.array_equal(all_idx, np.arange(600))
-    with pytest.raises(ConfigError):
-        split(data, ratios=(0.5, 0.6, -0.1))
-
-
 def test_standardize_and_back():
     data = gen_synthetic("goldberg", seed=0)
     std = standardize(data)
     tr = std.view("train")
     assert abs(tr.x.mean()) < 1e-12
     assert tr.x.std() == pytest.approx(1.0)
-    y_back = unstandardize_y(std, std.y)
-    assert np.allclose(y_back, data.y)
+    ys = data.y[data.train_idx]
+    assert np.allclose(std.y * ys.std(axis=0) + ys.mean(axis=0), data.y)
+    assert std.standardized and not data.standardized
     with pytest.raises(ConfigError):
         standardize(std)
 

@@ -17,7 +17,6 @@ from bnnlv.model import (
     make_x_sampler,
     predictive_means,
     predictive_sample_matrix,
-    sample_dataset,
 )
 from bnnlv.nonident import node_transform
 from bnnlv.vi import random_init
@@ -126,23 +125,13 @@ class TestPriors:
 
 
 class TestSampling:
-    def test_noiseless_identity(self):
-        priors = PriorConfig(sigma2_w=1.0, sigma2_z=1e-18, sigma2_eps=1e-18)
-        data = sample_dataset(
-            lambda x, z: x, priors, 50, ("uniform", -1.0, 1.0), seed=0
-        )
-        assert np.allclose(data.y, data.x, atol=1e-7)
-
     def test_depeweg_generation(self):
         data = gen_synthetic("depeweg", seed=9, sizes=(20_000, 10, 10))
         resid = data.y - ground_truth_fn("depeweg")(data.x, data.z_true)
         assert resid.var() == pytest.approx(0.1, rel=0.1)
 
     def test_latent_mean_lln(self):
-        priors = PriorConfig(sigma2_z=1.0, sigma2_eps=0.1)
-        data = sample_dataset(
-            lambda x, z: x + z, priors, 100_000, ("normal", 0.0, 1.0), seed=1
-        )
+        data = gen_synthetic("depeweg", seed=1, sizes=(100_000, 1, 1))  # sigma2_z = 1
         assert abs(data.z_true.mean()) <= 0.01
 
     def test_bad_sampler_spec(self):

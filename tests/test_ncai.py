@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ class TestObjective:
     def test_penalties_ignore_scale_parameters(self):
         data, q, priors = self._setup()
         cfg = NcaiConfig()
-        qb = q.copy()
+        qb = replace(q)
         qb.rho_z = qb.rho_z + 1.3
         qb.rho_w = qb.rho_w - 0.7
         pen_a = ncai_objective(q, data, priors, cfg, n_mc=2, seed=3) + elbo(
@@ -227,7 +228,7 @@ class TestObjective:
     def test_penalties_respond_to_means(self):
         data, q, priors = self._setup()
         cfg = NcaiConfig()
-        qb = q.copy()
+        qb = replace(q)
         qb.mu_z = qb.mu_z + np.linspace(0.0, 5.0, qb.mu_z.shape[0]).reshape(-1, 1)
         pen_a = ncai_objective(q, data, priors, cfg, n_mc=2, seed=3) + elbo(
             q, data, priors, n_mc=2, seed=3

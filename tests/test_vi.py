@@ -165,7 +165,8 @@ class TestElbo:
             np.full((n, 1), _softplus_inv(0.5)),
         )
         data = _dataset(np.zeros((n, 1)), np.zeros((n, 1)))
-        _, parts = elbo(q, data, priors, n_mc=2, seed=0, return_parts=True)
+        leaves = dict(zip(("mu_w", "rho_w", "mu_z", "rho_z"), q.params()))
+        _, parts = elbo_graph(arch, leaves, data.x, data.y, priors, n_mc=2, seed=0)
         assert parts["kl_w"] == pytest.approx(0.0, abs=1e-9)
         assert parts["kl_z"] == pytest.approx(0.0, abs=1e-9)
 
