@@ -515,16 +515,25 @@ def cmd_evaluate(args):
     data = build_dataset(cfg, args.seed)
     report = compute_report(q, data, priors, method=method, s=args.samples, seed=args.seed)
     _write_json(os.path.join(args.out, "metrics.json"), report.to_dict(), schema=METRICS_SCHEMA)
-    _write_manifest(args.out, "evaluate", {"model": args.model, **cfg}, args.seed)
+    config = {"model": args.model, **cfg, "samples": args.samples}
+    _write_manifest(args.out, "evaluate", config, args.seed)
     print(json.dumps(report.to_dict()))
     return 0
 
 
+# each transform's own nonident-demo flags, with the value a flag left out takes
+DEMO_FLAGS = {"node": {"c": 0.99}, "layer": {"t_scale": 0.5, "hidden": 5}}
+
+
 def cmd_nonident_demo(args):
-    if args.transform == "node":
-        transform = {"kind": "node", "c": args.c}
-    else:
-        transform = {"kind": "layer", "t_scale": args.t_scale, "hidden": args.hidden}
+    other = "layer" if args.transform == "node" else "node"
+    for key in DEMO_FLAGS[other]:
+        if getattr(args, key) is not None:
+            raise ConfigError(f"--{key.replace('_', '-')} applies only to --transform {other}")
+    transform = {"kind": args.transform}
+    for key, default in DEMO_FLAGS[args.transform].items():
+        value = getattr(args, key)
+        transform[key] = default if value is None else value
     priors = PriorConfig(sigma2_w=args.sigma2_w, sigma2_z=args.sigma2_z)
     n_values = _typed("--n", _comma_list(args.n), list[int])
     records = bias_probability(
@@ -532,7 +541,8 @@ def cmd_nonident_demo(args):
         n_values,
         args.trials,
         priors,
-        ("normal", args.mu_x, args.sigma2_x),
+        args.mu_x,
+        args.sigma2_x,
         args.seed,
     )
     out_obj = {"transform": transform, "records": records}
@@ -575,7 +585,8 @@ def cmd_map_demo(args):
     _write_json(os.path.join(args.out, "map.json"), out_obj)
     config = {
         "dataset": args.dataset, "restarts": args.restarts,
-        "epochs": args.epochs, "sigma2_w": args.sigma2_w,
+        "epochs": args.epochs, "learning_rate": args.learning_rate,
+        "sigma2_w": args.sigma2_w,
     }
     _write_manifest(args.out, "map-demo", config, args.seed)
     print(json.dumps({"best_random": out_obj["best_random"], "gap": out_obj["gap"]}))
@@ -699,9 +710,9 @@ def build_parser():
 
     p = sub.add_parser("nonident-demo", help="Monte Carlo log-joint gaps for the transforms")
     p.add_argument("--transform", required=True, choices=("node", "layer"))
-    p.add_argument("--c", type=float, default=0.99)
-    p.add_argument("--t-scale", dest="t_scale", type=float, default=0.5)
-    p.add_argument("--hidden", type=int, default=5)
+    p.add_argument("--c", type=float, default=None, help="node only")
+    p.add_argument("--t-scale", dest="t_scale", type=float, default=None, help="layer only")
+    p.add_argument("--hidden", type=int, default=None, help="layer only")
     p.add_argument("--n", default="10,100,1000")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--mu-x", dest="mu_x", type=float, default=0.0)

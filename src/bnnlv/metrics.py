@@ -61,10 +61,11 @@ def _rmse(means, y):
 
 
 def _interval(draws, y, level):
-    """(picp, mpiw) of central intervals from (N, S, L) predictive draws."""
+    """(picp, mpiw) of central intervals from (N, S, L) predictive draws,
+    averaged over every point and every output."""
     tail = 100.0 * (1.0 - level) / 2.0
-    lo, hi = np.percentile(draws[:, :, 0], [tail, 100.0 - tail], axis=1)
-    return float(np.mean((y[:, 0] >= lo) & (y[:, 0] <= hi))), float(np.mean(hi - lo))
+    lo, hi = np.percentile(draws, [tail, 100.0 - tail], axis=1)
+    return float(np.mean((y >= lo) & (y <= hi))), float(np.mean(hi - lo))
 
 
 def avg_marginal_ll(q_w, data, priors, which="test", s=2000, seed=0):
@@ -105,7 +106,8 @@ def picp_mpiw(q_w, data, priors, which="test", s=2000, seed=0, level=0.95):
     """Coverage and mean width of central predictive intervals.
 
     Interval endpoints are empirical percentiles of S predictive draws per
-    point. Returns (picp, mpiw).
+    point and output; both numbers average over every point and output.
+    Returns (picp, mpiw).
     """
     check_interval_samples(s)
     view = data.view(which)

@@ -57,8 +57,6 @@ def log_likelihood(arch, w, Z, x, y, sigma2_eps):
     """
     if sigma2_eps <= 0.0:
         raise ValueError(f"sigma2_eps must be positive, got {sigma2_eps}")
-    if x.shape[0] == 0:
-        return 0.0
     pred = dc.mlp_forward(arch, w, x, Z if arch.input_dim_z > 0 else None)
     resid = dc.add(pred, -y)
     ssq = dc.sum_(dc.mul(resid, resid))
@@ -90,62 +88,6 @@ def log_joint(arch, w, Z, data, priors):
     lw = log_prior_w(w, priors.sigma2_w)
     lz = log_prior_z(Z, priors.sigma2_z) if arch.input_dim_z > 0 else 0.0
     return _scalar(dc.add(dc.add(ll, lw), lz))
-
-
-def _check_variances(var):
-    if not np.all(np.asarray(var) >= 0.0):
-        raise ConfigError(f"x sampler variance must be >= 0, got {var}")
-
-
-def make_x_sampler(spec):
-    """Build an input sampler from a spec: a callable, or a tuple like
-    ("uniform", lo, hi), ("normal", mean, var), ("mixture", [(w, mean, var), ...]).
-    """
-    if callable(spec):
-        return spec
-    if not isinstance(spec, (tuple, list)) or not spec:
-        raise ConfigError(f"unrecognized x sampler spec: {spec!r}")
-    kind = spec[0]
-    if kind == "uniform":
-        _, lo, hi = spec
-        return lambda rng, n: rng.uniform(lo, hi, size=(n, 1))
-    if kind == "normal":
-        _, mean, var = spec
-        _check_variances(var)
-        return lambda rng, n: rng.normal(mean, np.sqrt(var), size=(n, 1))
-    if kind == "mixture":
-        comps = spec[1]
-        weights = np.array([c[0] for c in comps], dtype=float)
-        weights = weights / weights.sum()
-        means = np.array([c[1] for c in comps], dtype=float)
-        variances = np.array([c[2] for c in comps], dtype=float)
-        _check_variances(variances)
-        stds = np.sqrt(variances)
-
-        def sample(rng, n):
-            which = rng.choice(len(comps), size=n, p=weights)
-            return (means[which] + stds[which] * rng.standard_normal(n)).reshape(n, 1)
-
-        return sample
-    raise ConfigError(f"unrecognized x sampler spec: {spec!r}")
-
-
-class PointMassWeights:
-    """Degenerate weight posterior concentrated on one weight vector."""
-
-    def __init__(self, arch, w):
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (arch.param_count,):
-            raise ValueError(f"expected {arch.param_count} weights, got {w.shape}")
-        self.arch = arch
-        self.w = w
-        self.input_dim_z = arch.input_dim_z
-        self.output_dim = arch.output_dim
-
-    def weight_sampler(self):
-        """rng -> the one weight vector (the rng is not used)."""
-        w = self.w
-        return lambda rng: w
 
 
 class FixedFunction:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
-from .model import make_x_sampler
 
 
 def node_transform(w, x, z, c):
@@ -194,27 +193,15 @@ def t_upper_bound(mu_xd, sigma2_xd, sigma2_z):
     return float(np.sqrt(sigma2_z / (mu_xd**2 + sigma2_xd + sigma2_z)))
 
 
-def _sampler_moments(spec):
-    if isinstance(spec, (tuple, list)) and spec:
-        kind = spec[0]
-        if kind == "uniform":
-            _, lo, hi = spec
-            return (lo + hi) / 2.0, (hi - lo) ** 2 / 12.0
-        if kind == "normal":
-            _, mean, var = spec
-            return float(mean), float(var)
-    draws = make_x_sampler(spec)(np.random.default_rng(0), 100_000)
-    return float(draws.mean()), float(draws.var())
-
-
-def bias_probability(transform, n_values, trials, priors, x_sampler, seed):
+def bias_probability(transform, n_values, trials, priors, mu_x, sigma2_x, seed):
     """Monte Carlo estimate of how often a transform beats the generative
     configuration under the log joint, per sample size.
 
     ``transform`` is {"kind": "node", "c": ...} or {"kind": "layer",
     "t_scale": ..., "hidden": ...}; weights are drawn from the prior each
-    trial. The likelihood is output-invariant under both transforms so the
-    gap reduces to the two prior terms, which is what gets computed.
+    trial, and the n inputs from N(mu_x, sigma2_x). The likelihood is
+    output-invariant under both transforms so the gap reduces to the two
+    prior terms, which is what gets computed.
     Returns one record per n: fraction of positive gaps, mean gap, and the
     mean per-observation latent-only gap.
     """
@@ -227,23 +214,23 @@ def bias_probability(transform, n_values, trials, priors, x_sampler, seed):
     factor = "c" if kind == "node" else "t_scale"
     if not (np.isfinite(transform[factor]) and transform[factor] != 0.0):
         raise ConfigError(f"{factor} must be finite and non-zero, got {transform[factor]}")
-    if kind == "layer" and int(transform.get("hidden", 5)) < 1:
+    if kind == "layer" and int(transform["hidden"]) < 1:
         raise ConfigError(f"hidden must be >= 1, got {transform['hidden']}")
-    sampler = make_x_sampler(x_sampler)
+    if not sigma2_x >= 0.0:
+        raise ConfigError(f"sigma2_x must be >= 0, got {sigma2_x}")
     rng = np.random.default_rng(seed)
     s2z, s2w = priors.sigma2_z, priors.sigma2_w
     if kind == "node":
         c = transform["c"]
     else:
-        h = int(transform.get("hidden", 5))
-        mu_x, var_x = _sampler_moments(x_sampler)
-        t = transform["t_scale"] * t_upper_bound(mu_x, var_x, s2z)
+        h = int(transform["hidden"])
+        t = transform["t_scale"] * t_upper_bound(mu_x, sigma2_x, s2z)
     records = []
     for n in n_values:
         gaps = np.empty(trials)
         latent_gaps = np.empty(trials)
         for trial in range(trials):
-            x = sampler(rng, n)
+            x = rng.normal(mu_x, np.sqrt(sigma2_x), size=(n, 1))
             z = rng.normal(0.0, np.sqrt(s2z), size=(n, 1))
             if kind == "node":
                 w = rng.normal(0.0, np.sqrt(s2w))

@@ -236,16 +236,14 @@ def _logsumexp_rows(a):
 def aggregated_posterior_logpdf(q, points):
     """Log density of the equal-weight mixture of all per-point latent factors.
 
-    ``points`` is (M, K) or a single (K,) point; returns (M,) or a float.
-    Memory is O(_LOGPDF_CHUNK * N * K) for N components.
+    ``points`` is (M, K); returns (M,). Memory is O(_LOGPDF_CHUNK * N * K)
+    for N components.
     """
     if q.input_dim_z == 0:
         raise ValueError("posterior has no latent block")
     pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != q.input_dim_z:
-        raise ValueError(f"points must have {q.input_dim_z} columns")
+    if pts.ndim != 2 or pts.shape[1] != q.input_dim_z:
+        raise ValueError(f"points must be an (M, K) array with {q.input_dim_z} columns")
     mu = q.mu_z
     var = np.asarray(q.sigma_z) ** 2
     log_norm = np.log(2.0 * np.pi * var)
@@ -270,4 +268,4 @@ def aggregated_posterior_logpdf(q, points):
         c *= -0.5
         out[lo : lo + r] = _logsumexp_rows(c)
     out -= np.log(n)
-    return float(out[0]) if single else out
+    return out

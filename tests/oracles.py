@@ -6,7 +6,8 @@ which composes the generic tape ops to give a gradient reference for the
 fused Henze-Zirkler op, and the per-sample ELBO and per-draw predictive
 loops, which run the single-draw forward pass once per Monte Carlo draw to
 check the batched paths. The dense estimators hold every pairwise N x N (or
-M x N) array and check the k-d tree and row-chunked versions.
+M x N) array and check the k-d tree and row-chunked versions. ``point_mass``
+builds the degenerate weight posterior that several metric tests score.
 """
 import functools
 
@@ -238,3 +239,12 @@ def per_draw_predictive_means(q_w, priors, X, S, rng):
         z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k)) if k > 0 else None
         out[s] = np.reshape(f(X, z), (n, -1))
     return out
+
+
+def point_mass(arch, w):
+    """The network at one weight vector ``w``, as a ``FixedFunction``: a
+    weight posterior with all its mass on ``w``."""
+    return FixedFunction(
+        lambda x, z: dc.mlp_forward(arch, w, x, z),
+        input_dim_z=arch.input_dim_z, output_dim=arch.output_dim,
+    )

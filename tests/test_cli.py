@@ -382,6 +382,8 @@ class TestEvaluate:
             metrics = json.load(fh)
         assert "avg_marginal_ll" in metrics
         assert metrics["pc_y_z"] is not None
+        with open(os.path.join(eval_out, "manifest.json")) as fh:
+            assert json.load(fh)["config"]["samples"] == 200
 
     def test_report_for_saved_bnn_model(self, tmp_path):
         cfg_path = tmp_path / "bnn.cfg"
@@ -487,6 +489,19 @@ class TestNonidentDemo:
             gaps = json.load(fh)
         assert gaps["transform"]["kind"] == "layer"
 
+    @pytest.mark.parametrize("transform, flag, value", [
+        ("layer", "--c", "0.5"), ("node", "--t-scale", "0.5"), ("node", "--hidden", "5"),
+    ])
+    def test_other_transforms_flag_is_config_error(self, tmp_path, capsys, transform, flag,
+                                                   value):
+        out = tmp_path / "nd"
+        code = main(["nonident-demo", "--transform", transform, flag, value,
+                     "--n", "10", "--trials", "5", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert flag in err["message"]
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
         "flag, value", [("--n", "0"), ("--n", "-3"), ("--n", "10,,5"), ("--trials", "0")]
@@ -500,8 +515,8 @@ class TestNonidentDemo:
 class TestMapDemo:
     def test_gap_report(self, tmp_path):
         out = str(tmp_path / "md")
-        code = main(["map-demo", "--dataset", "heavy_tail", "--seed", "1",
-                     "--epochs", "60", "--restarts", "2", "--out", out])
+        code = main(["map-demo", "--dataset", "heavy_tail", "--seed", "1", "--epochs", "60",
+                     "--restarts", "2", "--learning-rate", "0.02", "--out", out])
         assert code == 0
         with open(os.path.join(out, "map.json")) as fh:
             report = json.load(fh)
@@ -510,6 +525,8 @@ class TestMapDemo:
         assert report["gap"] == pytest.approx(
             report["best_random"] - report["ground_truth_log_joint"]
         )
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert json.load(fh)["config"]["learning_rate"] == 0.02
 
     @pytest.mark.parametrize("flag", ["--epochs", "--restarts"])
     def test_zero_count_is_config_error(self, tmp_path, capsys, monkeypatch, flag):

@@ -22,11 +22,11 @@ from bnnlv.metrics import (
     recon_mse,
     uncertainty_decomposition,
 )
-from bnnlv.model import FixedFunction, PointMassWeights, PriorConfig, predictive_means
+from bnnlv.model import FixedFunction, PriorConfig, predictive_means
 from bnnlv.nonident import y_encoding_transform
 from bnnlv.train import TrainConfig, train
 from bnnlv.vi import MeanFieldPosterior, random_init
-from oracles import dense_kraskov_mi
+from oracles import dense_kraskov_mi, point_mass
 
 LINEAR = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(), output_dim=1)
 
@@ -37,7 +37,7 @@ def _identity_data(n=20):
 
 
 def _identity_model():
-    return PointMassWeights(LINEAR, np.array([1.0, 0.0]))
+    return point_mass(LINEAR, np.array([1.0, 0.0]))
 
 
 def _log_predictive_density(q_w, data, priors, s, seed):
@@ -77,7 +77,7 @@ class TestAvgMarginalLl:
         data = _identity_data()
         priors = PriorConfig(sigma2_eps=0.1)
         good = avg_marginal_ll(_identity_model(), data, priors, s=10)
-        shifted = PointMassWeights(LINEAR, np.array([1.0, 0.5]))
+        shifted = point_mass(LINEAR, np.array([1.0, 0.5]))
         bad = avg_marginal_ll(shifted, data, priors, s=10)
         assert bad < good
 
@@ -92,7 +92,7 @@ class TestPredictiveRmse:
         rng = np.random.default_rng(1)
         y = rng.standard_normal((200, 1))
         data = DataSet(x=np.zeros((200, 1)), y=y, train_idx=[], val_idx=[], test_idx=list(range(200)))
-        zero = PointMassWeights(LINEAR, np.zeros(2))
+        zero = point_mass(LINEAR, np.zeros(2))
         got = predictive_rmse(zero, data, PriorConfig(), s=10)
         assert got == pytest.approx(float(np.sqrt(np.mean(y**2))), abs=1e-12)
 
@@ -154,6 +154,21 @@ class TestPicpMpiw:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             picp_mpiw(_identity_model(), _identity_data(), PriorConfig(), s=50)
+
+    def test_every_output_is_scored(self):
+        # output 0 is centred on its target; output 1 sits ten of its sds
+        # above its target, so half of the (point, output) intervals cover
+        n = 20
+        x = np.linspace(-1.0, 1.0, n).reshape(-1, 1)
+        data = DataSet(x=x, y=np.hstack([x, x]), train_idx=[], val_idx=[],
+                       test_idx=list(range(n)))
+        f = FixedFunction(lambda x, z: np.hstack([x, x + 100.0 + 10.0 * z]),
+                          input_dim_z=1, output_dim=2)
+        priors = PriorConfig(sigma2_z=1.0, sigma2_eps=0.01)
+        picp, mpiw = picp_mpiw(f, data, priors, s=4000, seed=0)
+        assert picp == 0.5
+        widths = 2.0 * norm.ppf(0.975) * np.sqrt([0.01, 100.01])
+        assert mpiw == pytest.approx(widths.mean(), rel=0.05)
 
 
 class TestKraskovMi:
@@ -292,7 +307,7 @@ class TestKnnEntropy:
 class TestUncertaintyDecomposition:
     def test_point_mass_has_no_epistemic_part(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
-        q = PointMassWeights(arch, np.random.default_rng(10).standard_normal(arch.param_count))
+        q = point_mass(arch, np.random.default_rng(10).standard_normal(arch.param_count))
         priors = PriorConfig(sigma2_z=1.0, sigma2_eps=0.1)
         out = uncertainty_decomposition(q, priors, np.array([0.5]), s_w=40, s_y=400, seed=0)
         assert abs(out["epistemic"]) <= 0.05
@@ -306,7 +321,7 @@ class TestUncertaintyDecomposition:
         assert at0["aleatoric"] > at4["aleatoric"]
 
     def test_pure_gaussian_noise_matches_closed_form(self):
-        q = PointMassWeights(LINEAR, np.zeros(2))
+        q = point_mass(LINEAR, np.zeros(2))
         priors = PriorConfig(sigma2_eps=0.25)
         out = uncertainty_decomposition(q, priors, np.array([0.0]), s_w=20, s_y=2000, seed=2)
         assert out["aleatoric"] == pytest.approx(0.5 * np.log(2.0 * np.pi * np.e * 0.25), abs=0.05)
@@ -387,7 +402,7 @@ class TestComputeReport:
         # a weight-only model has no latent diagnostics, so the peak is the
         # predictive pass: the S x N means plus one block beside them
         arch = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(3,), output_dim=1)
-        q = PointMassWeights(arch, np.random.default_rng(0).standard_normal(arch.param_count))
+        q = point_mass(arch, np.random.default_rng(0).standard_normal(arch.param_count))
         n, s = 400, 500
         data = _identity_data(n)
         tracemalloc.start()

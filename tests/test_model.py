@@ -8,19 +8,17 @@ from bnnlv.exceptions import ConfigError
 from bnnlv.model import (
     _DRAW_CHUNK,
     FixedFunction,
-    PointMassWeights,
     PriorConfig,
     log_joint,
     log_likelihood,
     log_prior_w,
     log_prior_z,
-    make_x_sampler,
     predictive_means,
     predictive_sample_matrix,
 )
 from bnnlv.nonident import node_transform
 from bnnlv.vi import random_init
-from oracles import per_draw_predictive_means
+from oracles import per_draw_predictive_means, point_mass
 
 
 def _single_row(x, y):
@@ -134,15 +132,11 @@ class TestSampling:
         data = gen_synthetic("depeweg", seed=1, sizes=(100_000, 1, 1))  # sigma2_z = 1
         assert abs(data.z_true.mean()) <= 0.01
 
-    def test_bad_sampler_spec(self):
-        with pytest.raises(ConfigError):
-            make_x_sampler(("beta", 1.0, 2.0))
-
 
 class TestPredictive:
     def test_point_mass_zero_weights(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
-        q = PointMassWeights(arch, np.zeros(arch.param_count))
+        q = point_mass(arch, np.zeros(arch.param_count))
         priors = PriorConfig(sigma2_z=1.0, sigma2_eps=0.25)
         ys = predictive_sample_matrix(q, priors, np.array([[0.7]]), 4000, seed=0)[0]
         assert ys.mean() == pytest.approx(0.0, abs=0.05)
@@ -171,7 +165,7 @@ class TestPredictive:
         # predictive mean equals the forward pass at the mean latent
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(), output_dim=1)
         w = np.array([1.5, -0.5, 0.25])
-        q = PointMassWeights(arch, w)
+        q = point_mass(arch, w)
         priors = PriorConfig(sigma2_z=1.0, sigma2_eps=1e-18)
         x = np.array([[2.0]])
         draws = predictive_sample_matrix(q, priors, x, 4000, seed=4)[0, :, 0]
@@ -190,7 +184,7 @@ class TestPredictive:
         # every draw takes its own weights
         assert not np.array_equal(means[0], means[1])
 
-    @pytest.mark.parametrize("kind", ["mean_field", "point_mass", "fixed"])
+    @pytest.mark.parametrize("kind", ["mean_field", "fixed"])
     @pytest.mark.parametrize("k", [0, 1])
     def test_chunked_draws_equal_per_draw_loop(self, kind, k):
         # two full chunks and a ragged one of a single draw
@@ -198,7 +192,6 @@ class TestPredictive:
         q = random_init(arch, 4, seed=6)
         q_w = {
             "mean_field": q,
-            "point_mass": PointMassWeights(arch, q.mu_w),
             "fixed": FixedFunction(
                 lambda x, z: np.hstack([np.sin(x), x * x]) + (0.0 if z is None else z),
                 input_dim_z=k, output_dim=2,

@@ -239,7 +239,8 @@ class TestPosteriorGap:
         rng = np.random.default_rng(9)
         priors = PriorConfig(sigma2_w=1.0, sigma2_z=0.01, sigma2_eps=0.1)
         rec = bias_probability(
-            {"kind": "node", "c": 0.99}, [1000], 1, priors, ("normal", 0.0, 1.0), seed=int(rng.integers(1000))
+            {"kind": "node", "c": 0.99}, [1000], 1, priors, 0.0, 1.0,
+            seed=int(rng.integers(1000)),
         )
         assert rec[0]["mean_gap"] > 0.0
 
@@ -284,14 +285,14 @@ class TestBiasProbability:
 
     def test_identity_never_positive(self):
         rec = bias_probability(
-            {"kind": "node", "c": 1.0}, [10, 100], 20, self.PRIORS, ("normal", 0.0, 1.0), seed=0
+            {"kind": "node", "c": 1.0}, [10, 100], 20, self.PRIORS, 0.0, 1.0, seed=0
         )
         assert all(r["frac_positive"] == 0.0 for r in rec)
         assert all(r["mean_gap"] == 0.0 for r in rec)
 
     def test_node_transform_dominates_at_large_n(self):
         rec = bias_probability(
-            {"kind": "node", "c": 0.99}, [1000], 40, self.PRIORS, ("normal", 0.0, 1.0), seed=0
+            {"kind": "node", "c": 0.99}, [1000], 40, self.PRIORS, 0.0, 1.0, seed=0
         )
         assert rec[0]["frac_positive"] >= 0.85
         assert rec[0]["mean_latent_gap_per_obs"] > 0.0
@@ -300,18 +301,59 @@ class TestBiasProbability:
         priors = PriorConfig(sigma2_w=1.0, sigma2_z=1.0, sigma2_eps=0.1)
         rec = bias_probability(
             {"kind": "layer", "t_scale": 0.5, "hidden": 5},
-            [1000], 30, priors, ("normal", 0.0, 1.0), seed=0,
+            [1000], 30, priors, 0.0, 1.0, seed=0,
         )
         assert rec[0]["frac_positive"] >= 0.9
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            bias_probability({"kind": "swap"}, [10], 5, self.PRIORS, ("normal", 0.0, 1.0), seed=0)
+            bias_probability({"kind": "swap"}, [10], 5, self.PRIORS, 0.0, 1.0, seed=0)
 
     @pytest.mark.parametrize("n_values, trials", [([0], 5), ([10, -3], 5), ([10], 0)])
     def test_rejects_sizes_below_one(self, n_values, trials):
         with pytest.raises(ConfigError, match="n >= 1"):
             bias_probability(
-                {"kind": "node", "c": 0.99}, n_values, trials, self.PRIORS, ("normal", 0.0, 1.0),
-                seed=0,
+                {"kind": "node", "c": 0.99}, n_values, trials, self.PRIORS, 0.0, 1.0, seed=0
             )
+
+    @pytest.mark.parametrize("sigma2_x", [-1.0, np.nan])
+    def test_rejects_negative_or_nan_x_variance(self, sigma2_x):
+        with pytest.raises(ConfigError, match="sigma2_x"):
+            bias_probability(
+                {"kind": "node", "c": 0.99}, [10], 5, self.PRIORS, 0.0, sigma2_x, seed=0
+            )
+
+    @pytest.mark.parametrize("kind", ["node", "layer"])
+    def test_matches_transforms_and_log_priors(self, kind):
+        # bias_probability inlines both transforms and both prior gaps; one
+        # trial replays its rng order (x, z, then the weights) through
+        # node_transform or layer_transform and the model's log priors
+        priors = PriorConfig(sigma2_w=1.5, sigma2_z=0.5, sigma2_eps=0.1)
+        mu_x, sigma2_x, n, h, seed = 0.3, 2.0, 200, 4, 7
+        if kind == "node":
+            transform = {"kind": "node", "c": 0.9}
+        else:
+            transform = {"kind": "layer", "t_scale": 0.5, "hidden": h}
+        (rec,) = bias_probability(transform, [n], 1, priors, mu_x, sigma2_x, seed)
+
+        rng = np.random.default_rng(seed)
+        x = rng.normal(mu_x, np.sqrt(sigma2_x), size=(n, 1))
+        z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, 1))
+        sd_w = np.sqrt(priors.sigma2_w)
+        if kind == "node":
+            w = np.array([rng.normal(0.0, sd_w)])
+            w_hat, z_hat = node_transform(w, x, z, 0.9)
+        else:
+            weights = SingleLayerWeights(
+                w_x=rng.normal(0.0, sd_w, size=(h, 1)),
+                w_z=rng.normal(0.0, sd_w, size=(h, 1)),
+                b=np.zeros(h), w_out=np.zeros((h, 1)), b_out=np.zeros(1),
+            )
+            t = 0.5 * t_upper_bound(mu_x, sigma2_x, priors.sigma2_z)
+            moved, z_hat = layer_transform(weights, t_diag_layer_spec(weights.w_z, [t]), x, z)
+            w = np.concatenate([weights.w_x, weights.w_z])
+            w_hat = np.concatenate([moved.w_x, moved.w_z])
+        latent = log_prior_z(z_hat, priors.sigma2_z) - log_prior_z(z, priors.sigma2_z)
+        weight = log_prior_w(w_hat, priors.sigma2_w) - log_prior_w(w, priors.sigma2_w)
+        assert rec["mean_gap"] == pytest.approx(latent + weight, rel=1e-12)
+        assert rec["mean_latent_gap_per_obs"] == pytest.approx(latent / n, rel=1e-12)

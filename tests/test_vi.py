@@ -313,17 +313,13 @@ class TestAggregatedPosterior:
         got = aggregated_posterior_logpdf(q, pts)
         assert np.allclose(got, expected, atol=1e-12)
 
-    def test_single_point_returns_float(self):
-        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(2,), output_dim=1)
-        q = random_init(arch, 3, seed=0)
-        out = aggregated_posterior_logpdf(q, np.array([0.2]))
-        assert isinstance(out, float)
-
     def test_rejects_wrong_width_and_missing_block(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(2,), output_dim=1)
         q = random_init(arch, 3, seed=0)
         with pytest.raises(ValueError, match="columns"):
             aggregated_posterior_logpdf(q, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="columns"):
+            aggregated_posterior_logpdf(q, np.array([0.2]))
         arch0 = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(2,), output_dim=1)
         q0 = random_init(arch0, 3, seed=0)
         with pytest.raises(ValueError, match="latent"):
