@@ -382,7 +382,9 @@ def mlp_forward(arch, w, x, z=None):
     (C, N, L), draw c equal to the pass on ``w[c]`` and ``z[c]`` alone.
     ``z`` is needed only when the architecture has latent inputs. ``x`` is
     a plain array; ``w`` and ``z`` may be Nodes, in which case the result
-    is a Node.
+    is a Node. With no Node operand each layer is computed in place in its
+    own product array, with the values the tape ops give; ``x``, ``w`` and
+    ``z`` are never written.
     """
     wv = _val(w)
     if wv.ndim not in (1, 2) or wv.shape[-1] != arch.param_count:
@@ -400,7 +402,14 @@ def mlp_forward(arch, w, x, z=None):
     else:
         h = concat([x, z], axis=1)
     slices = arch.layer_slices()
+    plain = not isinstance(w, Node) and not isinstance(z, Node)
     for i, (w_sl, b_sl, din, dout) in enumerate(slices):
+        if plain:
+            h = np.matmul(h, wv[..., w_sl].reshape(*lead, din, dout))
+            h += wv[..., None, b_sl]
+            if i < len(slices) - 1:
+                np.maximum(h, h * arch.leaky_slope, out=h)  # leaky_relu's values
+            continue
         wl = reshape(take(w, (..., w_sl)) if isinstance(w, Node) else wv[..., w_sl],
                      (*lead, din, dout))
         bl = take(w, (..., b_sl)) if isinstance(w, Node) else wv[..., b_sl]

@@ -75,7 +75,9 @@ def avg_marginal_ll(q_w, data, priors, which="test", s=2000, seed=0):
     of log p(y|x,W,z) over the S joint draws, then averages over points.
     By Jensen this is a lower bound on the log predictive density (the log
     of the mean likelihood over the draws). The c08 gate, restart selection
-    (``train.restart_select``) and ``bnnlv grid`` all score with this bound.
+    (``train.restart_select``) and ``bnnlv grid`` all score with this bound;
+    ``result.json``'s ``val_avg_marginal_ll`` is the winning restart's
+    selection score, this bound on "val" at the run's seed.
     """
     y, means, _ = _draw_means(q_w, data, priors, which, s, seed)
     return float(np.mean(_logp_matrix(means, y, priors.sigma2_eps)))

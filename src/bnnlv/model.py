@@ -109,11 +109,13 @@ def predictive_means(q_w, priors, X, S, rng):
     from the prior p(z), never from trained per-point posteriors (z is None
     when the model has no latent inputs). This is the only loop over
     predictive draws; every predictive sampler and metric reads its array.
-    A posterior with weights (``weight_sampler``, made once per call so
-    the weight scale is computed once) runs ``_DRAW_CHUNK`` draws per
-    forward pass; a ``FixedFunction`` is called once per draw. Either
-    way the rng gives each draw its weights, then its latents, in draw
-    order, so the chunking changes no value.
+    A posterior with weights runs ``_DRAW_CHUNK`` draws per forward pass,
+    with one standard-normal call per chunk whose row j holds draw j's
+    weight noise, then its latent noise; a ``FixedFunction`` is called
+    once per draw. Either way the rng gives each draw its weights, then its
+    latents, in draw order: ``Generator.normal(loc, scale)`` returns
+    ``loc + scale * z`` for the same standard normals z, so the chunking
+    changes no value.
     """
     n, k = X.shape[0], q_w.input_dim_z
     sd_z = np.sqrt(priors.sigma2_z)
@@ -124,16 +126,16 @@ def predictive_means(q_w, priors, X, S, rng):
             z = rng.normal(0.0, sd_z, size=(n, k)) if k > 0 else None
             out[s] = np.reshape(f(X, z), (n, -1))
         return out
-    draw_weights = q_w.weight_sampler()
-    w = np.empty((_DRAW_CHUNK, q_w.arch.param_count))
-    z = np.empty((_DRAW_CHUNK, n, k))
+    p = q_w.arch.param_count
+    mu_w, sigma_w = q_w.mu_w, q_w.sigma_w
+    eps = np.empty((_DRAW_CHUNK, p + n * k))
     for lo in range(0, S, _DRAW_CHUNK):
         c = min(_DRAW_CHUNK, S - lo)
-        for j in range(c):
-            w[j] = draw_weights(rng)
-            if k > 0:
-                z[j] = rng.normal(0.0, sd_z, size=(n, k))
-        out[lo : lo + c] = dc.mlp_forward(q_w.arch, w[:c], X, z[:c])
+        rng.standard_normal(out=eps[:c])
+        w = sigma_w * eps[:c, :p] + mu_w
+        # + 0.0 as in Generator.normal, which also turns a -0.0 draw into 0.0
+        z = (sd_z * eps[:c, p:] + 0.0).reshape(c, n, k) if k > 0 else None
+        out[lo : lo + c] = dc.mlp_forward(q_w.arch, w, X, z)
     return out
 
 

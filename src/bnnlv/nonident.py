@@ -216,15 +216,26 @@ def bias_probability(transform, n_values, trials, priors, mu_x, sigma2_x, seed):
         raise ConfigError(f"{factor} must be finite and non-zero, got {transform[factor]}")
     if kind == "layer" and int(transform["hidden"]) < 1:
         raise ConfigError(f"hidden must be >= 1, got {transform['hidden']}")
-    if not sigma2_x >= 0.0:
-        raise ConfigError(f"sigma2_x must be >= 0, got {sigma2_x}")
+    if not np.isfinite(mu_x):
+        raise ConfigError(f"mu_x must be finite, got {mu_x}")
+    if not 0.0 <= sigma2_x < np.inf:
+        raise ConfigError(f"sigma2_x must be finite and >= 0, got {sigma2_x}")
     rng = np.random.default_rng(seed)
     s2z, s2w = priors.sigma2_z, priors.sigma2_w
     if kind == "node":
         c = transform["c"]
     else:
         h = int(transform["hidden"])
-        t = transform["t_scale"] * t_upper_bound(mu_x, sigma2_x, s2z)
+        try:
+            t = transform["t_scale"] * t_upper_bound(mu_x, sigma2_x, s2z)
+        except OverflowError:  # mu_x**2 beyond the float range: the bound is 0
+            t = 0.0
+        # like a zero t_scale, a factor that is 0 or not finite has no inverse
+        if not (np.isfinite(t) and t != 0.0):
+            raise ConfigError(
+                f"t_scale * t_upper_bound(mu_x, sigma2_x, sigma2_z) must be finite and "
+                f"non-zero, got {t} (mu_x={mu_x}, sigma2_x={sigma2_x}, sigma2_z={s2z})"
+            )
     records = []
     for n in n_values:
         gaps = np.empty(trials)

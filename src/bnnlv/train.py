@@ -288,31 +288,31 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
 def restart_select(trained, data, s_ll=2000, seed=0):
     """Pick the restart with the best validation average marginal log-likelihood.
 
-    ``trained`` is a list of (posterior, priors) pairs; returns the
-    winning index.
+    ``trained`` is a list of (posterior, priors) pairs, each scored at the
+    same ``seed``; returns (winning index, list of scores). A single
+    restart is scored too: its score is the run's validation score.
     """
     from .metrics import avg_marginal_ll
 
     if not trained:
         raise ValueError("no trained models to select from")
-    if len(trained) == 1:
-        return 0
     which = "val" if len(data.val_idx) else "train"
     scores = [
         avg_marginal_ll(q, data, priors, which=which, s=s_ll, seed=seed)
         for q, priors in trained
     ]
-    return int(np.argmax(scores))
+    return int(np.argmax(scores)), scores
 
 
-def train_restarts(data, arch, priors, ncai_cfg, train_cfg, method, seed):
-    """Run seeded restarts and return (best posterior, final priors, histories, index)."""
+def train_restarts(data, arch, priors, ncai_cfg, train_cfg, method, seed, s_ll=2000):
+    """Run seeded restarts and return (best posterior, final priors, histories,
+    index, score): the winner's ``restart_select`` score at ``seed`` and S=``s_ll``."""
     seeds = np.random.SeedSequence(seed).spawn(train_cfg.restarts)
     results = [
         train(data, arch, priors, ncai_cfg, train_cfg, method, int(ss.generate_state(1)[0]))
         for ss in seeds
     ]
     pairs = [(q, final_priors(priors, h)) for q, h in results]
-    best = restart_select(pairs, data, seed=seed)
+    best, scores = restart_select(pairs, data, s_ll=s_ll, seed=seed)
     q, history = results[best]
-    return q, final_priors(priors, history), [h for _, h in results], best
+    return q, final_priors(priors, history), [h for _, h in results], best, scores[best]

@@ -68,17 +68,8 @@ class MeanFieldPosterior:
     def sigma_z(self):
         return dc.softplus(self.rho_z)
 
-    def weight_sampler(self):
-        """rng -> one flat weight draw mu_w + sigma_w * eps.
-
-        The scale is computed here, once, so a pass of many draws pays one
-        softplus; draw again through a new sampler after ``rho_w`` changes.
-        """
-        mu, sigma = self.mu_w, self.sigma_w
-        return lambda rng: mu + sigma * rng.standard_normal(mu.shape)
-
     def draw_function(self, rng):
-        w = self.weight_sampler()(rng)
+        w = self.mu_w + self.sigma_w * rng.standard_normal(self.mu_w.shape)
         arch = self.arch
         return lambda x, z=None: dc.mlp_forward(arch, w, x, z)
 

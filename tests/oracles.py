@@ -227,15 +227,17 @@ def per_sample_elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
 
 def per_draw_predictive_means(q_w, priors, X, S, rng):
     """``model.predictive_means`` with one function and one forward pass per
-    draw: the weights from ``weight_sampler()`` (a ``FixedFunction``'s
-    function from ``draw_function``), then the prior latents."""
+    draw: the weights mu_w + softplus(rho_w) * standard_normal(P) (a
+    ``FixedFunction``'s function from ``draw_function``), then the prior
+    latents from ``rng.normal(0, sd_z, (N, K))``."""
     n, k = X.shape[0], q_w.input_dim_z
     out = np.empty((S, n, q_w.output_dim))
     for s in range(S):
         if isinstance(q_w, FixedFunction):
             f = q_w.draw_function(rng)
         else:
-            f = functools.partial(dc.mlp_forward, q_w.arch, q_w.weight_sampler()(rng))
+            w = q_w.mu_w + dc.softplus(q_w.rho_w) * rng.standard_normal(q_w.arch.param_count)
+            f = functools.partial(dc.mlp_forward, q_w.arch, w)
         z = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=(n, k)) if k > 0 else None
         out[s] = np.reshape(f(X, z), (n, -1))
     return out

@@ -23,10 +23,11 @@ from bnnlv.cli import (
 )
 from bnnlv.diffcore import Architecture
 from bnnlv.exceptions import ConfigError, DivergenceError
+from bnnlv.metrics import avg_marginal_ll
 from bnnlv.model import PriorConfig
 from bnnlv.ncai import NcaiConfig
 from bnnlv.train import TrainConfig
-from bnnlv.vi import random_init
+from bnnlv.vi import MeanFieldPosterior, random_init
 
 
 def _read(path):
@@ -253,6 +254,28 @@ class TestTrain:
         jsonschema.validate(result, RESULT_SCHEMA)
         assert result["method"] == "NCAI"
         assert result["metrics"]["recon_mse"] is not None
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_val_score_is_the_winners_selection_score(self, tmp_path, restarts):
+        # restart selection scores every restart at the run seed; the
+        # winner's score is the one result.json reports
+        text = TRAIN_CONFIG.format(method="BNNLV_BBB").replace(
+            "restarts = 1", f"restarts = {restarts}") + "s_eval = 300\n"
+        cfg_path = tmp_path / "r.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg_path), "--seed", "5", "--out", str(out)]) == 0
+        with open(out / "result.json") as fh:
+            result = json.load(fh)
+        with open(out / "model.json") as fh:
+            model = json.load(fh)
+        q = MeanFieldPosterior.from_dict(model["posterior"])
+        priors = PriorConfig(**model["priors"])
+        data = build_experiment(parse_config(text), 5)[0]
+        assert result["restarts"] == restarts
+        assert result["val_avg_marginal_ll"] == avg_marginal_ll(
+            q, data, priors, which="val", s=300, seed=5
+        )
 
     def test_penalty_free_matches_plain_descent(self, tmp_path):
         cfg = TRAIN_CONFIG + "lambda1 = 0\nlambda2 = 0\nlambda3 = 0\n"
@@ -502,6 +525,18 @@ class TestNonidentDemo:
         assert err["error"] == "config"
         assert flag in err["message"]
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("transform, flag, value", [
+        ("node", "--mu-x", "nan"), ("layer", "--mu-x", "nan"), ("layer", "--mu-x", "1e200"),
+        ("node", "--sigma2-x", "inf"), ("layer", "--sigma2-x", "inf"),
+    ])
+    def test_input_moments_without_a_finite_gap_are_config_errors(
+        self, tmp_path, capsys, transform, flag, value
+    ):
+        out = tmp_path / "nd"
+        code = main(["nonident-demo", "--transform", transform, flag, value,
+                     "--n", "10", "--trials", "5", "--out", str(out)])
+        _assert_config_error(code, capsys, out)
 
     @pytest.mark.parametrize(
         "flag, value", [("--n", "0"), ("--n", "-3"), ("--n", "10,,5"), ("--trials", "0")]

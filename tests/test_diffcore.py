@@ -293,6 +293,31 @@ class TestMlpForward:
         node = dc.mlp_forward(arch, dc.leaf(W), X, None if Z is None else dc.leaf(Z))
         np.testing.assert_array_equal(node.value, out)
 
+    @given(data=st.data())
+    def test_plain_forward_equals_tape_forward(self, data):
+        # the in-place plain path against the tape ops, also on NaN, +-inf
+        # and -0.0 entries, and without writing into any operand
+        arch = dc.Architecture(
+            input_dim_x=data.draw(st.integers(1, 2)),
+            input_dim_z=data.draw(st.integers(0, 2)),
+            hidden_layers=data.draw(st.lists(st.integers(1, 4), max_size=2)),
+            output_dim=data.draw(st.integers(1, 2)),
+            leaky_slope=0.2,
+        )
+        lead = data.draw(st.sampled_from([(), (2,), (3,)]))
+        n = data.draw(st.integers(1, 4))
+        entries = st.floats(-3.0, 3.0) | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+        w = data.draw(hnp.arrays(np.float64, (*lead, arch.param_count), elements=entries))
+        x = data.draw(hnp.arrays(np.float64, (n, arch.input_dim_x), elements=entries))
+        z = (data.draw(hnp.arrays(np.float64, (*lead, n, arch.input_dim_z), elements=entries))
+             if arch.input_dim_z else None)
+        before = [a.tobytes() for a in (w, x, z) if a is not None]
+        with np.errstate(all="ignore"):
+            plain = dc.mlp_forward(arch, w, x, z)
+            tape = dc.mlp_forward(arch, dc.leaf(w), x, z).value
+        assert np.array_equal(plain, tape, equal_nan=True)
+        assert [a.tobytes() for a in (w, x, z) if a is not None] == before
+
     def test_weight_block_gradients_match_finite_differences(self):
         rng = np.random.default_rng(29)
         arch = dc.Architecture(input_dim_x=2, input_dim_z=1, hidden_layers=(4,), output_dim=2)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from bnnlv import diffcore as dc
 from bnnlv.data import DataSet, gen_synthetic, ground_truth_fn
 from bnnlv.diffcore import Architecture
 from bnnlv.exceptions import ConfigError
@@ -375,28 +376,28 @@ class TestComputeReport:
         assert report.rmse == predictive_rmse(q, data, priors, s=300, seed=4)
         assert (report.picp, report.mpiw) == picp_mpiw(q, data, priors, s=300, seed=4)
 
-    def test_one_draw_per_sample(self):
+    def test_one_draw_per_sample(self, monkeypatch):
         data = gen_synthetic("heavy_tail", seed=7, sizes=(15, 0, 10))
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
         q = random_init(arch, 15, seed=3)
-        calls, samplers = [], []
-        make_sampler = q.weight_sampler
+        rows, scales = [], []
+        forward, softplus = dc.mlp_forward, dc.softplus
 
-        def counted_sampler():
-            samplers.append(1)
-            draw = make_sampler()
+        def counted_forward(arch, w, x, z=None):
+            rows.append(1 if np.ndim(w) == 1 else len(w))
+            return forward(arch, w, x, z)
 
-            def counted(rng):
-                calls.append(1)
-                return draw(rng)
+        def counted_softplus(a):
+            scales.append(a is q.rho_w)
+            return softplus(a)
 
-            return counted
-
-        q.weight_sampler = counted_sampler
+        # the sampler reaches both through the diffcore module
+        monkeypatch.setattr(dc, "mlp_forward", counted_forward)
+        monkeypatch.setattr(dc, "softplus", counted_softplus)
         compute_report(q, data, PriorConfig(), s=150, seed=0)
-        assert len(calls) == 150
-        # one weight scale per predictive pass
-        assert len(samplers) == 1
+        # one weight row per sample, and one weight scale per predictive pass
+        assert sum(rows) == 150
+        assert sum(scales) == 1
 
     def test_keeps_at_most_two_sample_blocks(self):
         # a weight-only model has no latent diagnostics, so the peak is the

@@ -185,9 +185,8 @@ class TestPredictive:
         assert not np.array_equal(means[0], means[1])
 
     @pytest.mark.parametrize("kind", ["mean_field", "fixed"])
-    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("k", [0, 1, 2])
     def test_chunked_draws_equal_per_draw_loop(self, kind, k):
-        # two full chunks and a ragged one of a single draw
         arch = Architecture(input_dim_x=1, input_dim_z=k, hidden_layers=(5, 3), output_dim=2)
         q = random_init(arch, 4, seed=6)
         q_w = {
@@ -199,11 +198,12 @@ class TestPredictive:
         }[kind]
         priors = PriorConfig(sigma2_z=0.7)
         x = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
-        s = 2 * _DRAW_CHUNK + 1
-        got = predictive_means(q_w, priors, x, s, np.random.default_rng(3))
-        want = per_draw_predictive_means(q_w, priors, x, s, np.random.default_rng(3))
-        assert got.shape == (s, 9, 2)
-        np.testing.assert_array_equal(got, want)
+        # one draw, one full chunk, and two full chunks plus a ragged one
+        for s in (1, _DRAW_CHUNK, 2 * _DRAW_CHUNK + 1):
+            got = predictive_means(q_w, priors, x, s, np.random.default_rng(3))
+            want = per_draw_predictive_means(q_w, priors, x, s, np.random.default_rng(3))
+            assert got.shape == (s, 9, 2)
+            assert np.array_equal(got, want)
 
     def test_noise_is_drawn_after_all_means(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)

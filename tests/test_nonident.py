@@ -323,6 +323,18 @@ class TestBiasProbability:
                 {"kind": "node", "c": 0.99}, [10], 5, self.PRIORS, 0.0, sigma2_x, seed=0
             )
 
+    @pytest.mark.parametrize("kind, mu_x, sigma2_x, match", [
+        ("node", np.nan, 1.0, "mu_x"), ("layer", np.inf, 1.0, "mu_x"),
+        ("node", 0.0, np.inf, "sigma2_x"), ("layer", 0.0, np.inf, "sigma2_x"),
+        # mu_x**2 overflows, so the layer factor t would be 0
+        ("layer", 1e200, 1.0, "t_upper_bound"),
+    ])
+    def test_rejects_moments_without_a_finite_gap(self, kind, mu_x, sigma2_x, match):
+        transform = {"kind": "node", "c": 0.99} if kind == "node" else {
+            "kind": "layer", "t_scale": 0.5, "hidden": 5}
+        with pytest.raises(ConfigError, match=match):
+            bias_probability(transform, [10], 5, self.PRIORS, mu_x, sigma2_x, seed=0)
+
     @pytest.mark.parametrize("kind", ["node", "layer"])
     def test_matches_transforms_and_log_priors(self, kind):
         # bias_probability inlines both transforms and both prior gaps; one

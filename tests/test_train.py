@@ -6,6 +6,7 @@ from bnnlv import diffcore as dc
 from bnnlv.data import DataSet, gen_synthetic
 from bnnlv.diffcore import Architecture, mlp_forward
 from bnnlv.exceptions import ConfigError, DivergenceError
+from bnnlv.metrics import avg_marginal_ll
 from bnnlv.model import PriorConfig
 from bnnlv.ncai import NcaiConfig
 from bnnlv.train import (
@@ -322,25 +323,35 @@ class TestRestarts:
         data = _linear_data(n=40)
         good, bad = self._handmade_pair(data)
         priors = PriorConfig(sigma2_eps=0.05)
-        idx = restart_select([(bad, priors), (good, priors)], data, s_ll=200, seed=0)
+        idx, scores = restart_select([(bad, priors), (good, priors)], data, s_ll=200, seed=0)
         assert idx == 1
+        # one score per candidate, each at the same seed; the index is their argmax
+        assert scores == [
+            avg_marginal_ll(q, data, priors, which="val", s=200, seed=0) for q in (bad, good)
+        ]
+        assert idx == int(np.argmax(scores))
 
-    def test_single_candidate_short_circuits(self):
+    def test_single_candidate_is_scored(self):
+        # a lone restart is scored too: its score is the run's validation score
         data = _linear_data(n=40)
         good, _ = self._handmade_pair(data)
-        assert restart_select([(good, PriorConfig())], data) == 0
+        idx, scores = restart_select([(good, PriorConfig())], data, s_ll=200, seed=3)
+        assert idx == 0
+        assert scores == [avg_marginal_ll(good, data, PriorConfig(), which="val", s=200, seed=3)]
 
     def test_same_seed_repeats(self):
         data = gen_synthetic("heavy_tail", seed=5, sizes=(12, 4, 0))
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
         cfg = TrainConfig(epochs=8, restarts=3, warm_epochs=10)
-        q1, p1, h1, b1 = train_restarts(
-            data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=0
+        q1, p1, h1, b1, s1 = train_restarts(
+            data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=0, s_ll=300
         )
-        q2, p2, h2, b2 = train_restarts(
-            data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=0
+        q2, p2, h2, b2, s2 = train_restarts(
+            data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=0, s_ll=300
         )
         assert b1 == b2
         assert np.array_equal(q1.mu_w, q2.mu_w)
         assert len(h1) == len(h2) == 3
         assert p1 == p2
+        # the score passed on is the winner's, at the run seed
+        assert s1 == s2 == avg_marginal_ll(q1, data, p1, which="val", s=300, seed=0)

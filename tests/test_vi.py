@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from bnnlv import diffcore as dc
 from bnnlv.data import DataSet, gen_synthetic
-from bnnlv.diffcore import Architecture, softplus
+from bnnlv.diffcore import Architecture, mlp_forward, softplus
 from bnnlv.exceptions import ConfigError
 from bnnlv.model import PriorConfig
 from bnnlv.vi import (
@@ -109,28 +109,28 @@ class TestPosterior:
     def test_draws_deterministic_given_rng(self):
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(2,), output_dim=1)
         q = random_init(arch, 4, seed=1)
-        w1 = q.weight_sampler()(np.random.default_rng(9))
-        w2 = q.weight_sampler()(np.random.default_rng(9))
-        assert np.array_equal(w1, w2)
-        eps = np.random.default_rng(9).standard_normal(q.mu_w.shape)
-        assert np.array_equal(w1, q.mu_w + softplus(q.rho_w) * eps)
-        f = q.draw_function(np.random.default_rng(9))
+        f1 = q.draw_function(np.random.default_rng(9))
+        f2 = q.draw_function(np.random.default_rng(9))
         x = np.array([[0.3]])
         z = np.array([[0.1]])
-        assert np.array_equal(f(x, z), f(x, z))
+        assert np.array_equal(f1(x, z), f2(x, z))
+        eps = np.random.default_rng(9).standard_normal(q.mu_w.shape)
+        assert np.array_equal(f1(x, z), mlp_forward(arch, q.mu_w + softplus(q.rho_w) * eps, x, z))
         with pytest.raises(ValueError, match="architecture requires latent inputs z"):
-            f(x)
+            f1(x)
 
-    def test_new_sampler_reads_updated_scale(self):
-        # training updates rho_w in place; a sampler made afterwards must
-        # not reuse the old scale
+    def test_draw_reads_updated_scale(self):
+        # training updates rho_w in place; a draw made afterwards must not
+        # reuse the old scale
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(2,), output_dim=1)
         q = random_init(arch, 4, seed=1)
-        before = q.weight_sampler()(np.random.default_rng(9))
+        x = np.array([[0.3]])
+        z = np.array([[0.1]])
+        before = q.draw_function(np.random.default_rng(9))(x, z)
         q.rho_w += 1.0
-        after = q.weight_sampler()(np.random.default_rng(9))
+        after = q.draw_function(np.random.default_rng(9))(x, z)
         eps = np.random.default_rng(9).standard_normal(q.mu_w.shape)
-        assert np.array_equal(after, q.mu_w + softplus(q.rho_w) * eps)
+        assert np.array_equal(after, mlp_forward(arch, q.mu_w + softplus(q.rho_w) * eps, x, z))
         assert not np.array_equal(before, after)
 
 
