@@ -8,12 +8,11 @@ under the Chebyshev norm, searched with k-d trees.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import digamma
-from scipy.stats import ks_2samp
 
 from .diffcore import mlp_forward
 from .exceptions import ConfigError
@@ -134,6 +133,8 @@ def kraskov_mi(a, b, k=5):
         raise ValueError("a and b must have the same number of rows")
     if n <= k:
         raise ValueError(f"need more than k={k} points, got {n}")
+    from scipy.spatial import cKDTree  # deferred: slow to import, and only k-NN needs it
+
     a = _tie_jitter(a, seed=0)
     b = _tie_jitter(b, seed=1)
     joint = np.hstack([a, b])
@@ -148,10 +149,32 @@ def kraskov_mi(a, b, k=5):
 
 
 def ks_two_sample(a, b):
-    """Two-sample Kolmogorov-Smirnov statistic (sup CDF gap)."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    return float(ks_2samp(a, b).statistic)
+    """Two-sample Kolmogorov-Smirnov statistic (sup CDF gap).
+
+    Computed as scipy's ``ks_2samp`` computes its statistic, without the
+    p-value: the largest gap between the two empirical CDFs over the pooled
+    points, rounded to the exact rational h / lcm(n1, n2). For
+    max(n1, n2) <= 10000 the result equals ``ks_2samp(a, b).statistic``
+    bit for bit. Above that ``ks_2samp`` switches to its asymptotic p-value
+    and leaves the gap unrounded, so the two can differ by a few ulps.
+
+    A NaN in either sample gives NaN, as ``ks_2samp``'s default
+    ``nan_policy`` does. An empty sample raises ``ValueError``, where
+    ``ks_2samp`` returns NaN with a warning.
+    """
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    n1, n2 = a.size, b.size
+    if min(n1, n2) == 0:
+        raise ValueError("ks_two_sample needs two non-empty samples")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
+        return float("nan")
+    both = np.concatenate([a, b])
+    gaps = np.searchsorted(a, both, side="right") / n1
+    gaps -= np.searchsorted(b, both, side="right") / n2
+    d = max(float(np.clip(-gaps.min(), 0.0, 1.0)), float(gaps.max()))
+    lcm = (n1 // math.gcd(n1, n2)) * n2
+    return round(d * lcm) / lcm
 
 
 def js_divergence_mc(log_p, sample_p, log_q, sample_q, s=5000, seed=0):
@@ -178,9 +201,10 @@ def knn_entropy(x, k=5):
     n, d = x.shape
     if n <= k:
         raise ValueError(f"need more than k={k} points, got {n}")
+    from scipy.spatial import cKDTree  # deferred: slow to import, and only k-NN needs it
+
     x = _tie_jitter(x, seed=2)
-    tree = cKDTree(x)
-    dist, _ = tree.query(x, k=k + 1, p=np.inf)
+    dist, _ = cKDTree(x).query(x, k=k + 1, p=np.inf)
     eps = dist[:, k]
     return float(digamma(n) - digamma(k) + d * np.log(2.0) + d * np.mean(np.log(eps)))
 

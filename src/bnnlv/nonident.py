@@ -258,6 +258,12 @@ def bias_probability(transform, n_values, trials, priors, mu_x, sigma2_x, seed):
                 ) / (2.0 * s2w)
             latent_gap = float(np.sum(z * z - z_hat * z_hat) / (2.0 * s2z))
             gaps[trial] = weight_gap + latent_gap
+            # finite moments can still overflow the squares; no later trial mends that
+            if not np.isfinite(gaps[trial]):
+                raise ConfigError(
+                    f"the log-joint gap is not finite at n={n}, trial {trial} "
+                    f"(mu_x={mu_x}, sigma2_x={sigma2_x}, sigma2_z={s2z})"
+                )
             latent_gaps[trial] = latent_gap / n
         records.append(
             {

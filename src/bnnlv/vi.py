@@ -87,11 +87,29 @@ class MeanFieldPosterior:
 
     @classmethod
     def from_dict(cls, d):
+        """Rebuild a posterior from ``to_dict`` output (a loaded model.json).
+
+        Raises ConfigError naming the block when one does not fit ``arch``
+        or holds a non-finite value, so a bad file fails before any work.
+        """
         arch = Architecture(**d["arch"])
+        p, k = arch.param_count, arch.input_dim_z
         # one row per training point, also when the rows are empty (no latent inputs)
-        mu_z = np.asarray(d["mu_z"], dtype=np.float64).reshape(len(d["mu_z"]), arch.input_dim_z)
-        rho_z = np.asarray(d["rho_z"], dtype=np.float64).reshape(len(d["rho_z"]), arch.input_dim_z)
-        return cls(arch, np.asarray(d["mu_w"]), np.asarray(d["rho_w"]), mu_z, rho_z)
+        n = len(d["mu_z"])
+        blocks = {}
+        for name, shape in (("mu_w", (p,)), ("rho_w", (p,)), ("mu_z", (n, k)), ("rho_z", (n, k))):
+            try:
+                block = np.asarray(d[name], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ConfigError(f"model block {name} is not an array of numbers") from None
+            if block.shape != shape:
+                raise ConfigError(
+                    f"model block {name} has shape {block.shape}; the architecture needs {shape}"
+                )
+            if not np.all(np.isfinite(block)):
+                raise ConfigError(f"model block {name} holds a non-finite value")
+            blocks[name] = block
+        return cls(arch, **blocks)
 
 
 def random_init(arch, n_train, seed):

@@ -482,6 +482,31 @@ class TestEvaluate:
                      "--out", str(out)])
         _assert_config_error(code, capsys, out)
 
+    @pytest.mark.parametrize("block, edit", [
+        ("mu_z", lambda post: post["mu_z"][3].__setitem__(0, float("nan"))),
+        ("mu_w", lambda post: post["mu_w"].__setitem__(7, float("nan"))),
+        ("mu_w", lambda post: post["mu_w"].pop()),
+        ("rho_z", lambda post: post["rho_z"][0].append(0.5)),
+    ], ids=["nan-in-mu_z", "nan-in-mu_w", "mu_w-one-short", "ragged-rho_z"])
+    def test_bad_model_block_is_config_error(self, tmp_path, capsys, monkeypatch, block, edit):
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
+        posterior = random_init(arch, 25, seed=0).to_dict()
+        edit(posterior)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "method": "NCAI", "posterior": posterior,
+            "priors": {"sigma2_w": 1.0, "sigma2_z": 1.0, "sigma2_eps": 0.1},
+        }))
+        monkeypatch.setattr("bnnlv.cli.build_dataset", _fails_if_called)
+        out = tmp_path / "e"
+        code = main(["evaluate", "--model", str(model), "--dataset", "heavy_tail",
+                     "--sizes", "25,8,8", "--samples", "100", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert f"model block {block} " in err["message"]
+        assert not os.path.exists(out)
+
     def test_latent_row_mismatch_is_config_error(self, tmp_path, capsys):
         out = _run_train(tmp_path, "NCAI", "base2")
         code = main(["evaluate", "--model", os.path.join(out, "model.json"),
@@ -537,6 +562,19 @@ class TestNonidentDemo:
         code = main(["nonident-demo", "--transform", transform, flag, value,
                      "--n", "10", "--trials", "5", "--out", str(out)])
         _assert_config_error(code, capsys, out)
+
+    @pytest.mark.parametrize("transform, mu_x", [("node", "1e200"), ("layer", "1e154")])
+    def test_overflowing_gap_stops_at_the_first_trial(self, tmp_path, capsys, transform, mu_x):
+        # the moments are finite, but the squared transformed latents or
+        # weights overflow, so no trial has a finite gap
+        out = tmp_path / "nd"
+        code = main(["nonident-demo", "--transform", transform, "--mu-x", mu_x,
+                     "--n", "10", "--trials", "5", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "n=10, trial 0" in err["message"] and f"mu_x={float(mu_x)}" in err["message"]
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
         "flag, value", [("--n", "0"), ("--n", "-3"), ("--n", "10,,5"), ("--trials", "0")]

@@ -1,10 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
-from scipy.stats import norm
+from scipy.stats import ks_2samp, norm
 
 from bnnlv import diffcore as dc
 from bnnlv.data import DataSet, gen_synthetic, ground_truth_fn
@@ -231,12 +234,79 @@ class TestKraskovMi:
 
 
 class TestKsTwoSample:
+    """The numpy statistic against scipy's ``ks_2samp``, compared with ``==``."""
+
+    @staticmethod
+    def _assert_matches_scipy(a, b):
+        assert ks_two_sample(a, b) == ks_2samp(a, b).statistic
+
     def test_identical(self):
         a = np.linspace(0.0, 1.0, 50)
         assert ks_two_sample(a, a.copy()) == 0.0
 
     def test_disjoint_supports(self):
         assert ks_two_sample(np.arange(10), np.arange(100, 110)) == 1.0
+        self._assert_matches_scipy(np.arange(10.0), np.arange(100.0, 113.0))
+        self._assert_matches_scipy(np.arange(100.0, 113.0), np.arange(10.0))
+
+    def test_ties(self):
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, 4, size=37).astype(float)
+        b = rng.integers(1, 6, size=52).astype(float)
+        self._assert_matches_scipy(a, b)
+        self._assert_matches_scipy(np.zeros(5), np.zeros(8))
+
+    def test_single_points(self):
+        self._assert_matches_scipy([0.5], [0.5])
+        self._assert_matches_scipy([0.5], [1.5])
+        self._assert_matches_scipy([0.5], np.linspace(0.0, 1.0, 9))
+
+    def test_unequal_sizes(self):
+        rng = np.random.default_rng(5)
+        self._assert_matches_scipy(rng.standard_normal(750), rng.standard_normal(3000) + 0.05)
+
+    # scipy's exact p-value can fail and fall back to the asymptotic one with
+    # a warning; its statistic stays rounded either way
+    @pytest.mark.filterwarnings("ignore:ks_2samp. Exact calculation unsuccessful")
+    @given(
+        st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=2000),
+        st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=2000),
+        st.integers(0, 3),
+    )
+    def test_matches_scipy_property(self, a, b, decimals):
+        # rounding makes ties between and within the samples common
+        a, b = np.round(a, decimals), np.round(b, decimals)
+        self._assert_matches_scipy(a, b)
+
+    def test_matches_scipy_at_the_exact_limit(self):
+        # scipy rounds the statistic to h / lcm(n1, n2) while max(n1, n2) <= 10000
+        rng = np.random.default_rng(7)
+        self._assert_matches_scipy(rng.standard_normal(10_000), rng.standard_normal(10_000) + 0.02)
+
+    def test_above_the_exact_limit_is_the_exact_rational(self):
+        # scipy leaves the statistic unrounded here; this one is still h / lcm
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal(12_000), rng.standard_normal(10_001) + 0.02
+        n1, n2 = a.size, b.size
+        pooled = np.concatenate([a, b])
+        ca = np.searchsorted(np.sort(a), pooled, side="right")
+        cb = np.searchsorted(np.sort(b), pooled, side="right")
+        g = math.gcd(n1, n2)
+        h = int(np.max(np.abs(ca * n2 - cb * n1))) // g
+        got = ks_two_sample(a, b)
+        assert got == h / ((n1 // g) * n2)
+        assert got == pytest.approx(ks_2samp(a, b).statistic, rel=1e-14)
+
+    def test_empty_sample_raises(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ks_two_sample([], [1.0, 2.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            ks_two_sample([1.0], np.empty((0, 3)))
+
+    def test_nan_propagates(self):
+        assert np.isnan(ks_two_sample([np.nan, 1.0], [1.0, 2.0]))
+        assert np.isnan(ks_two_sample([1.0, 2.0], [3.0, np.nan]))
+        assert np.isnan(ks_2samp([np.nan, 1.0], [1.0, 2.0]).statistic)
 
     def test_matches_step_function_oracle(self):
         rng = np.random.default_rng(6)

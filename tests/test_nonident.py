@@ -328,6 +328,8 @@ class TestBiasProbability:
         ("node", 0.0, np.inf, "sigma2_x"), ("layer", 0.0, np.inf, "sigma2_x"),
         # mu_x**2 overflows, so the layer factor t would be 0
         ("layer", 1e200, 1.0, "t_upper_bound"),
+        # finite moments, but the squared latents or weights overflow
+        ("node", 1e200, 1.0, "n=10, trial 0"), ("layer", 1e154, 1.0, "n=10, trial 0"),
     ])
     def test_rejects_moments_without_a_finite_gap(self, kind, mu_x, sigma2_x, match):
         transform = {"kind": "node", "c": 0.99} if kind == "node" else {
