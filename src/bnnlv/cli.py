@@ -25,7 +25,8 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .data import DATASET_NAMES, DataSet, gen_synthetic, ground_truth_fn, load_csv, standardize
+from .data import DATASET_NAMES, LATENT_SPECS, DataSet, gen_synthetic, ground_truth_fn
+from .data import load_csv, standardize
 from .diffcore import Architecture
 from .exceptions import ConfigError, CsvParseError, DivergenceError
 # avg_marginal_ll is unused here; the benchmark's tracer patches bnnlv.cli.avg_marginal_ll
@@ -273,6 +274,32 @@ RESULT_SCHEMA = {
     },
 }
 
+def _fields_schema(cls):
+    """An object of ``cls``'s dataclass fields only, each of its JSON type."""
+    types = {int: "integer", float: "number", bool: "boolean", tuple: "array"}
+    hints = typing.get_type_hints(cls)
+    props = {f.name: {"type": types[hints[f.name]]} for f in fields(cls)}
+    return {"type": "object", "properties": props, "additionalProperties": False}
+
+
+# keys and scalar types only: a schema that walked every weight would take
+# longer than the rest of loading a large model; from_dict checks the blocks
+_BLOCKS = ("mu_w", "rho_w", "mu_z", "rho_z")
+MODEL_SCHEMA = {
+    "type": "object",
+    "required": ["posterior", "priors"],
+    "properties": {
+        "method": {"enum": list(METHODS)},
+        "posterior": {
+            "type": "object",
+            "required": ["arch", *_BLOCKS],
+            "properties": {"arch": {**_fields_schema(Architecture), "required": ["input_dim_x"]},
+                           **dict.fromkeys(_BLOCKS, {"type": "array"})},
+        },
+        "priors": _fields_schema(PriorConfig),
+    },
+}
+
 GAPS_SCHEMA = {
     "type": "object",
     "required": ["transform", "records"],
@@ -402,7 +429,7 @@ def _run_training(cfg, seed, out_dir):
         os.path.join(out_dir, "model.json"),
         {"method": method, "posterior": q.to_dict(), "priors": asdict(fin_priors)},
     )
-    if data.input_dim == 1:
+    if data.input_dim == 1 and data.output_dim == 1:
         _write_predictive_grid(out_dir, q, fin_priors, data, s=max(200, min(s_eval, 500)))
     if arch.input_dim_z > 0:
         train_view = data.view("train")
@@ -489,8 +516,17 @@ def cmd_train(args):
 
 
 def _load_model(path):
+    """(posterior, priors, method) from a model.json, else ConfigError naming the key."""
     with open(path) as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except ValueError as e:  # also a file that is not UTF-8 text
+            raise ConfigError(f"{path} is not JSON: {e}") from None
+    try:  # a validator of its own skips jsonschema.validate's check of the schema
+        jsonschema.Draft202012Validator(MODEL_SCHEMA).validate(blob)
+    except jsonschema.ValidationError as e:
+        where = ".".join(map(str, e.absolute_path)) or "top level"
+        raise ConfigError(f"{path}: {where}: {e.message}") from None
     q = MeanFieldPosterior.from_dict(blob["posterior"])
     priors = PriorConfig(**blob["priors"])
     return q, priors, blob.get("method", "NCAI")
@@ -613,13 +649,9 @@ def cmd_decompose(args):
     if args.model:
         q_w, priors, _ = _load_model(args.model)
     else:
-        probe = gen_synthetic(args.dataset, 0, sizes=(2, 1, 1))
-        if probe.sigma2_z_true is None:
-            raise ConfigError(f"dataset {args.dataset!r} has no latent-noise ground truth")
+        sigma2_eps, sigma2_z, _ = LATENT_SPECS[args.dataset]
         q_w = FixedFunction(ground_truth_fn(args.dataset), input_dim_z=1, output_dim=1)
-        priors = PriorConfig(
-            sigma2_z=probe.sigma2_z_true, sigma2_eps=probe.sigma2_eps_true
-        )
+        priors = PriorConfig(sigma2_z=sigma2_z, sigma2_eps=sigma2_eps)
     rows = []
     for i, xv in enumerate(grid):
         parts = uncertainty_decomposition(
@@ -723,7 +755,7 @@ def build_parser():
     p.set_defaults(func=cmd_nonident_demo)
 
     p = sub.add_parser("map-demo", help="best-of-restarts MAP vs the generative configuration")
-    p.add_argument("--dataset", default="heavy_tail", choices=("heavy_tail", "depeweg", "bimodal"))
+    p.add_argument("--dataset", default="heavy_tail", choices=tuple(LATENT_SPECS))
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.01)
     p.add_argument("--sigma2-w", dest="sigma2_w", type=float, default=10.0)
     common(p, epochs=True, restarts=True)
@@ -731,7 +763,7 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="entropy split across an input grid")
     p.add_argument("--model", default=None)
-    p.add_argument("--dataset", default=None, choices=("heavy_tail", "depeweg", "bimodal"))
+    p.add_argument("--dataset", default=None, choices=tuple(LATENT_SPECS))
     p.add_argument("--x-grid", dest="x_grid", default="-4:4:9")
     p.add_argument("--s-w", dest="s_w", type=int, default=50)
     p.add_argument("--s-inner", dest="s_inner", type=int, default=400)

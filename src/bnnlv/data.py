@@ -111,8 +111,8 @@ _GT_FUNCTIONS = {
     "bimodal": _bimodal_f,
 }
 
-# (sigma2_eps, sigma2_z, (n_train, n_val, n_test))
-_LATENT_SPECS = {
+# the latent-noise datasets: (sigma2_eps, sigma2_z, (n_train, n_val, n_test))
+LATENT_SPECS = {
     "heavy_tail": (0.1, 0.01, (300, 300, 300)),
     "depeweg": (0.1, 1.0, (750, 250, 250)),
     "bimodal": (1.0, 0.1, (750, 250, 250)),
@@ -183,8 +183,8 @@ def gen_synthetic(name, seed, sizes=None, distill=False, distill_epochs=4000):
     carries exact ground-truth weights.
     """
     rng = np.random.default_rng(seed)
-    if name in _LATENT_SPECS:
-        sigma2_eps, sigma2_z, default_sizes = _LATENT_SPECS[name]
+    if name in LATENT_SPECS:
+        sigma2_eps, sigma2_z, default_sizes = LATENT_SPECS[name]
         n_tr, n_va, n_te = sizes or default_sizes
         n = n_tr + n_va + n_te
         x = _sample_x(name, n, rng)

@@ -44,40 +44,16 @@ class SingleLayerWeights:
         if self.w_z.shape[0] != h or self.b.shape != (h,) or self.w_out.shape[0] != h:
             raise ValueError("inconsistent hidden width across weight blocks")
 
-    @property
-    def hidden(self):
-        return self.w_x.shape[0]
-
     def to_flat(self, arch):
-        _check_single_layer(arch, self)
+        if len(arch.hidden_layers) != 1:
+            raise ConfigError("transform requires exactly one hidden layer")
+        d, k, h = arch.input_dim_x, arch.input_dim_z, arch.hidden_layers[0]
+        if k != d:
+            raise ConfigError(f"transform requires input_dim_z == input_dim_x, got {k} != {d}")
+        if self.w_x.shape != (h, d) or self.w_z.shape != (h, d):
+            raise ValueError("weight blocks do not match the architecture")
         w1 = np.concatenate([self.w_x.T, self.w_z.T], axis=0)
         return np.concatenate([w1.ravel(), self.b, self.w_out.ravel(), self.b_out])
-
-    @classmethod
-    def from_flat(cls, arch, w):
-        if len(arch.hidden_layers) != 1:
-            raise ConfigError("structured view requires exactly one hidden layer")
-        d, k, h, l = arch.input_dim_x, arch.input_dim_z, arch.hidden_layers[0], arch.output_dim
-        w = np.asarray(w, dtype=np.float64)
-        (w1_sl, b1_sl, din, _), (w2_sl, b2_sl, _, _) = arch.layer_slices()
-        w1 = w[w1_sl].reshape(din, h)
-        return cls(
-            w_x=w1[:d, :].T,
-            w_z=w1[d:, :].T,
-            b=w[b1_sl],
-            w_out=w[w2_sl].reshape(h, l),
-            b_out=w[b2_sl],
-        )
-
-
-def _check_single_layer(arch, weights):
-    if len(arch.hidden_layers) != 1:
-        raise ConfigError("transform requires exactly one hidden layer")
-    d, k, h = arch.input_dim_x, arch.input_dim_z, arch.hidden_layers[0]
-    if k != d:
-        raise ConfigError(f"transform requires input_dim_z == input_dim_x, got {k} != {d}")
-    if weights.w_x.shape != (h, d) or weights.w_z.shape != (h, d):
-        raise ValueError("weight blocks do not match the architecture")
 
 
 @dataclass
@@ -101,25 +77,16 @@ class LayerTransformSpec:
             raise ValueError("inconsistent dimensions in transform spec")
 
 
-def identity_layer_spec(w_z):
-    """Spec that maps a network to itself."""
+def t_diag_layer_spec(w_z, diag):
+    """The diagonal-scaling special case: S = I, U = 0, T = diag(diag), R = w_z T^-1."""
     w_z = np.asarray(w_z, dtype=np.float64)
-    d = w_z.shape[1]
-    return LayerTransformSpec(s=np.zeros(d), u=np.zeros(d), r=w_z.copy(), t=np.eye(d))
-
-
-def t_diag_layer_spec(w_z, t_diag):
-    """The diagonal-scaling special case: S = I, U = 0, T = diag(t), R = w_z T^-1."""
-    w_z = np.asarray(w_z, dtype=np.float64)
-    t_diag = np.asarray(t_diag, dtype=np.float64).ravel()
-    if np.any(t_diag == 0.0):
+    diag = np.asarray(diag, dtype=np.float64).ravel()
+    if np.any(diag == 0.0):
         raise ValueError("t entries must be non-zero")
     d = w_z.shape[1]
-    if t_diag.shape != (d,):
+    if diag.shape != (d,):
         raise ValueError(f"t must have {d} entries")
-    return LayerTransformSpec(
-        s=np.ones(d), u=np.zeros(d), r=w_z / t_diag, t=np.diag(t_diag)
-    )
+    return LayerTransformSpec(s=np.ones(d), u=np.zeros(d), r=w_z / diag, t=np.diag(diag))
 
 
 def layer_transform(weights, spec, x, z):
@@ -131,7 +98,9 @@ def layer_transform(weights, spec, x, z):
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if np.max(np.abs(spec.r @ spec.t - weights.w_z)) > 1e-10:
+    # R = w_z T^-1 rounds in proportion to |w_z|, so the check scales with it
+    tol = 1e-10 * max(1.0, np.max(np.abs(weights.w_z)))
+    if np.max(np.abs(spec.r @ spec.t - weights.w_z)) > tol:
         raise ValueError("spec does not factor w_z: need w_z = R @ T")
     if np.linalg.slogdet(spec.t)[0] == 0.0:
         raise ValueError("T must be invertible")
@@ -175,14 +144,6 @@ def y_encoding_transform(data, arch):
         b_out=np.zeros(1),
     )
     return weights, z_hat
-
-
-def c_lower_bound(mu_x, sigma2_x, sigma2_z):
-    """Scaling factors above this make the single-node gap positive in expectation."""
-    if sigma2_x < 0.0 or sigma2_z <= 0.0:
-        raise ValueError("variances must be positive")
-    m2 = sigma2_x + mu_x**2
-    return (m2 - sigma2_z) / (m2 + sigma2_z)
 
 
 def t_upper_bound(mu_xd, sigma2_xd, sigma2_z):
@@ -250,12 +211,16 @@ def bias_probability(transform, n_values, trials, priors, mu_x, sigma2_x, seed):
             else:
                 w_x = rng.normal(0.0, np.sqrt(s2w), size=(h, 1))
                 w_z = rng.normal(0.0, np.sqrt(s2w), size=(h, 1))
-                w_x_hat = w_x + w_z
-                w_z_hat = w_z / t
-                z_hat = t * (z - x)
-                weight_gap = (
-                    np.sum(w_x**2) - np.sum(w_x_hat**2) + np.sum(w_z**2) - np.sum(w_z_hat**2)
-                ) / (2.0 * s2w)
+                spec = t_diag_layer_spec(w_z, [t])
+                if np.all(np.isfinite(spec.r)):
+                    net = SingleLayerWeights(w_x, w_z, np.zeros(h), np.zeros((h, 1)), np.zeros(1))
+                    moved, z_hat = layer_transform(net, spec, x, z)
+                    weight_gap = (
+                        np.sum(w_x**2) - np.sum(moved.w_x**2)
+                        + np.sum(w_z**2) - np.sum(moved.w_z**2)
+                    ) / (2.0 * s2w)
+                else:  # R overflowed, so its square takes the weight gap to -inf
+                    weight_gap, z_hat = -np.inf, z
             latent_gap = float(np.sum(z * z - z_hat * z_hat) / (2.0 * s2z))
             gaps[trial] = weight_gap + latent_gap
             # finite moments can still overflow the squares; no later trial mends that

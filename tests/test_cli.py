@@ -12,6 +12,7 @@ import bnnlv
 from bnnlv import cli
 from bnnlv.cli import (
     GAPS_SCHEMA,
+    MODEL_SCHEMA,
     RESULT_SCHEMA,
     _write_csv,
     _write_json,
@@ -254,6 +255,25 @@ class TestTrain:
         jsonschema.validate(result, RESULT_SCHEMA)
         assert result["method"] == "NCAI"
         assert result["metrics"]["recon_mse"] is not None
+        with open(os.path.join(out, "model.json")) as fh:
+            jsonschema.validate(json.load(fh), MODEL_SCHEMA)
+
+    def test_grid_only_for_one_output(self, tmp_path):
+        # the grid holds one output's quantiles, so two targets write none
+        rows = "x0,y0,y1\n" + "".join(f"{i / 10},{i % 3},{i % 5}\n" for i in range(12))
+        for split in ("train", "val", "test"):
+            (tmp_path / f"{split}.csv").write_text(rows)
+        cfg_path = tmp_path / "two.cfg"
+        cfg_path.write_text(
+            "".join(f"{split}_csv = {tmp_path / split}.csv\n" for split in ("train", "val", "test"))
+            + "n_targets = 2\nhidden = [4]\nepochs = 5\nwarm_epochs = 5\ns_eval = 100\n"
+        )
+        out = tmp_path / "two"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["history.csv", "latent_means.csv", "manifest.json",
+                                           "model.json", "result.json"]
+        with open(out / "latent_means.csv") as fh:
+            assert fh.readline() == "x0,y0,y1,mu_z0\n"
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_val_score_is_the_winners_selection_score(self, tmp_path, restarts):
@@ -576,6 +596,26 @@ class TestNonidentDemo:
         assert "n=10, trial 0" in err["message"] and f"mu_x={float(mu_x)}" in err["message"]
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--sigma2-w", "1e12"], 0),
+        (["--sigma2-w", "1e20"], 0),
+        (["--t-scale", "1e-310"], 2),
+        (["--sigma2-w", "1e300", "--t-scale", "1e-160"], 2),
+    ], ids=["w-1e12", "w-1e20", "t-1e-310", "w-1e300-t-1e-160"])
+    def test_extreme_layer_scales(self, tmp_path, capsys, flags, code):
+        # |w_z| of 1e6 or 1e10 still factors as R @ T up to rounding; a
+        # w_z / t that overflows leaves no finite gap
+        out = tmp_path / "nd"
+        assert main(["nonident-demo", "--transform", "layer", *flags,
+                     "--n", "10", "--trials", "5", "--out", str(out)]) == code
+        if code == 0:
+            assert os.path.exists(out / "gaps.json")
+        else:
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "config"
+            assert "gap is not finite at n=10, trial 0" in err["message"]
+            assert not os.path.exists(out)
+
     @pytest.mark.parametrize(
         "flag, value", [("--n", "0"), ("--n", "-3"), ("--n", "10,,5"), ("--trials", "0")]
     )
@@ -654,6 +694,38 @@ class TestDecompose:
         code = main(["decompose", "--dataset", "bimodal", "--x-grid", "0:1:3",
                      flag, value, "--out", str(out)])
         _assert_config_error(code, capsys, out)
+
+
+# evaluate and decompose read model.json the same way
+@pytest.mark.parametrize("edit, key", [
+    (lambda blob: "{not json", "is not JSON"),
+    (lambda blob: blob.pop("posterior"), "'posterior' is a required"),
+    (lambda blob: blob.pop("priors"), "'priors' is a required"),
+    (lambda blob: blob["posterior"].pop("arch"), "'arch' is a required"),
+    (lambda blob: blob["posterior"].pop("rho_w"), "'rho_w' is a required"),
+    (lambda blob: blob["posterior"]["arch"].update(width=3), "'width' was unexpected"),
+    (lambda blob: blob["priors"].update(sigma2_q=1.0), "'sigma2_q' was unexpected"),
+], ids=["not-json", "no-posterior", "no-priors", "no-arch", "no-block", "arch-key",
+        "priors-key"])
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--dataset", "heavy_tail", "--sizes", "25,8,8"], ["decompose"],
+], ids=["evaluate", "decompose"])
+def test_bad_model_file_is_config_error(tmp_path, capsys, monkeypatch, edit, key, command):
+    arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
+    blob = {"method": "NCAI", "posterior": random_init(arch, 25, seed=0).to_dict(),
+            "priors": {"sigma2_w": 1.0, "sigma2_z": 1.0, "sigma2_eps": 0.1}}
+    text = edit(blob)
+    model = tmp_path / "model.json"
+    model.write_text(text if isinstance(text, str) else json.dumps(blob))
+    monkeypatch.setattr("bnnlv.cli.build_dataset", _fails_if_called)
+    monkeypatch.setattr("bnnlv.cli.uncertainty_decomposition", _fails_if_called)
+    out = tmp_path / "e"
+    code = main([command[0], "--model", str(model), *command[1:], "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert str(model) in err["message"] and key in err["message"]
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(
