@@ -21,7 +21,6 @@ import tempfile
 import typing
 from dataclasses import asdict, fields
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -195,8 +194,13 @@ def _nonfinite_key(obj, key=""):
 
 
 def _write_json(path, obj, schema=None):
+    """Write ``obj`` as JSON; with a ``schema``, raise jsonschema.ValidationError
+    and write nothing unless ``obj`` fits it."""
     if schema is not None:
-        jsonschema.validate(obj, schema)
+        import jsonschema  # deferred: slow to import, and only a check needs it
+
+        # a validator of its own skips jsonschema.validate's check of the schema
+        jsonschema.Draft202012Validator(schema).validate(obj)
     try:  # JSON has no NaN or Infinity, which json.dumps writes by default
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
@@ -274,11 +278,17 @@ RESULT_SCHEMA = {
     },
 }
 
+
+def _json_type(hint):
+    if typing.get_origin(hint) is tuple:  # tuple[int, ...]
+        return {"type": "array", "items": _json_type(typing.get_args(hint)[0])}
+    return {"type": {int: "integer", float: "number", bool: "boolean"}[hint]}
+
+
 def _fields_schema(cls):
     """An object of ``cls``'s dataclass fields only, each of its JSON type."""
-    types = {int: "integer", float: "number", bool: "boolean", tuple: "array"}
     hints = typing.get_type_hints(cls)
-    props = {f.name: {"type": types[hints[f.name]]} for f in fields(cls)}
+    props = {f.name: _json_type(hints[f.name]) for f in fields(cls)}
     return {"type": "object", "properties": props, "additionalProperties": False}
 
 
@@ -522,8 +532,15 @@ def _load_model(path):
             blob = json.load(fh)
         except ValueError as e:  # also a file that is not UTF-8 text
             raise ConfigError(f"{path} is not JSON: {e}") from None
+    import jsonschema  # deferred: slow to import, and only a check needs it
+
+    # JSON Schema counts 1.0 as an integer, which Architecture would take as a
+    # float (a TypeError) or truncate (50.7 hidden units); here it is not one
+    base = jsonschema.Draft202012Validator
+    whole = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
     try:  # a validator of its own skips jsonschema.validate's check of the schema
-        jsonschema.Draft202012Validator(MODEL_SCHEMA).validate(blob)
+        jsonschema.validators.extend(base, type_checker=whole)(MODEL_SCHEMA).validate(blob)
     except jsonschema.ValidationError as e:
         where = ".".join(map(str, e.absolute_path)) or "top level"
         raise ConfigError(f"{path}: {where}: {e.message}") from None
@@ -783,6 +800,13 @@ def _fail(code, kind, message):
     return code
 
 
+def _schema_errors():
+    """jsonschema's ValidationError once a check has imported jsonschema, else
+    no class; an except clause evaluates this only when an error reaches it."""
+    loaded = sys.modules.get("jsonschema")
+    return (loaded.ValidationError,) if loaded is not None else ()
+
+
 def main(argv=None):
     parser = build_parser()
     if argv is None:
@@ -803,7 +827,7 @@ def main(argv=None):
         return _fail(2, "config", str(e))
     except DivergenceError as e:
         return _fail(3, "divergence", str(e))
-    except jsonschema.ValidationError as e:
+    except _schema_errors() as e:
         return _fail(3, "internal", f"output failed schema validation: {e.message}")
 
 

@@ -18,10 +18,10 @@ there are none.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .exceptions import ConfigError
 
@@ -136,6 +136,31 @@ def absolute(a):
     return _op("abs", np.abs(av), (a, lambda g, x=av: g * np.sign(x)))
 
 
+def _exp_or_inf(v):
+    try:
+        return math.exp(v)
+    except OverflowError:  # libm's exp gives inf here; math.exp raises instead
+        return math.inf
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + exp(-x)), equal to ``scipy.special.expit``
+    bit for bit, also at +-0, +-inf, NaN and subnormals, and without warnings.
+
+    Both take exp(-x) from libm's ``exp``, one element at a time; numpy's
+    vectorized ``exp`` differs from it in the last bit for some arguments.
+    An exp(-x) beyond the largest float is inf, which gives 0.0, as in scipy.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    neg = (-x).ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, neg), np.float64, len(neg))
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, neg), np.float64, len(neg))
+    e += 1.0
+    return np.divide(1.0, e, out=e).reshape(x.shape)
+
+
 def softplus(a):
     """softplus(x) = log(1 + exp(x)), computed stably."""
     av = _val(a)
@@ -157,6 +182,15 @@ def leaky_relu(a, alpha=0.01):
     return _op("leaky_relu", out, (a, lambda g, x=av: g * np.maximum(x > 0.0, alpha)))
 
 
+def _matmul(a, b, out=None):
+    """``np.matmul(a, b, out=out)``; over a contracted dimension of 1 the
+    product is an outer product, which a broadcast multiply computes faster
+    with equal values (numpy's matmul does not call BLAS there)."""
+    if a.shape[-1] == 1 and b.shape[-2] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
 def matmul(a, b):
     """Matrix product of 2-D operands or of stacks of them, numpy-broadcast
     over the leading axes; a shared operand's gradient sums over the stack."""
@@ -164,9 +198,9 @@ def matmul(a, b):
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError("matmul expects operands of at least 2 dimensions")
     return _op(
-        "matmul", av @ bv,
-        (a, lambda g, o=bv, s=av.shape: _unbroadcast(g @ np.swapaxes(o, -1, -2), s)),
-        (b, lambda g, o=av, s=bv.shape: _unbroadcast(np.swapaxes(o, -1, -2) @ g, s)),
+        "matmul", _matmul(av, bv),
+        (a, lambda g, o=bv, s=av.shape: _unbroadcast(_matmul(g, np.swapaxes(o, -1, -2)), s)),
+        (b, lambda g, o=av, s=bv.shape: _unbroadcast(_matmul(np.swapaxes(o, -1, -2), g), s)),
     )
 
 
@@ -280,7 +314,7 @@ class Architecture:
 
     input_dim_x: int
     input_dim_z: int = 0
-    hidden_layers: tuple = (50,)
+    hidden_layers: tuple[int, ...] = (50,)
     output_dim: int = 1
     leaky_slope: float = 0.01
 

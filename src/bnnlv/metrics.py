@@ -12,7 +12,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .diffcore import mlp_forward
 from .exceptions import ConfigError
@@ -134,6 +133,7 @@ def kraskov_mi(a, b, k=5):
     if n <= k:
         raise ValueError(f"need more than k={k} points, got {n}")
     from scipy.spatial import cKDTree  # deferred: slow to import, and only k-NN needs it
+    from scipy.special import digamma
 
     a = _tie_jitter(a, seed=0)
     b = _tie_jitter(b, seed=1)
@@ -202,6 +202,7 @@ def knn_entropy(x, k=5):
     if n <= k:
         raise ValueError(f"need more than k={k} points, got {n}")
     from scipy.spatial import cKDTree  # deferred: slow to import, and only k-NN needs it
+    from scipy.special import digamma
 
     x = _tie_jitter(x, seed=2)
     dist, _ = cKDTree(x).query(x, k=k + 1, p=np.inf)

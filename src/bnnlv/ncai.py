@@ -96,7 +96,7 @@ def hz_statistic(points):
     buf = np.empty((min(_HZ_CHUNK, n), n))
     for lo in range(0, n, _HZ_CHUNK):
         hi = min(lo + _HZ_CHUNK, n)
-        blk = np.matmul(t[lo:hi], xc.T, out=buf[: hi - lo])
+        blk = dc._matmul(t[lo:hi], xc.T, out=buf[: hi - lo])
         blk *= -2.0
         blk += dj[lo:hi, None]
         blk += dj[None, :]

@@ -171,6 +171,23 @@ class TestWriters:
             _write_json(str(tmp_path / "x.json"), bad, GAPS_SCHEMA)
         assert not (tmp_path / "x.json").exists()
 
+    def test_schema_failure_exits_3_internal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "GAPS_SCHEMA", {"type": "array"})
+        out = tmp_path / "demo"
+        code = main(["nonident-demo", "--transform", "node", "--n", "10", "--trials", "2",
+                     "--out", str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "internal"
+        assert not (out / "gaps.json").exists()
+
+    def test_other_errors_are_not_caught(self, tmp_path, monkeypatch):
+        def fails(*args, **kwargs):
+            raise RuntimeError("not a schema failure")
+
+        monkeypatch.setattr(cli, "bias_probability", fails)
+        with pytest.raises(RuntimeError, match="not a schema failure"):
+            main(["nonident-demo", "--transform", "node", "--out", str(tmp_path / "demo")])
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_json_refuses_non_finite_numbers(self, tmp_path, value):
         with pytest.raises(DivergenceError, match=r"x\.json: a\.b\.1 is not finite"):
@@ -705,8 +722,15 @@ class TestDecompose:
     (lambda blob: blob["posterior"].pop("rho_w"), "'rho_w' is a required"),
     (lambda blob: blob["posterior"]["arch"].update(width=3), "'width' was unexpected"),
     (lambda blob: blob["priors"].update(sigma2_q=1.0), "'sigma2_q' was unexpected"),
+    # JSON Schema counts 1.0 as an integer; a model file's arch does not
+    (lambda blob: blob["posterior"]["arch"].update(input_dim_x=1.0), "arch.input_dim_x"),
+    (lambda blob: blob["posterior"]["arch"].update(output_dim=1.0), "arch.output_dim"),
+    (lambda blob: blob["posterior"]["arch"].update(hidden_layers=[5.7]), "arch.hidden_layers.0"),
+    (lambda blob: blob["posterior"]["arch"].update(hidden_layers=[5.0]), "arch.hidden_layers.0"),
+    (lambda blob: blob["posterior"]["arch"].update(hidden_layers=["5"]), "arch.hidden_layers.0"),
 ], ids=["not-json", "no-posterior", "no-priors", "no-arch", "no-block", "arch-key",
-        "priors-key"])
+        "priors-key", "input-dim-float", "output-dim-float", "hidden-fraction", "hidden-float",
+        "hidden-string"])
 @pytest.mark.parametrize("command", [
     ["evaluate", "--dataset", "heavy_tail", "--sizes", "25,8,8"], ["decompose"],
 ], ids=["evaluate", "decompose"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.special import expit as scipy_expit
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -161,6 +162,85 @@ class TestGaussianReparam:
     def test_softplus_at_zero(self):
         out = dc.gaussian_reparam(np.array(0.0), np.array(0.0), np.array(1.0))
         assert float(out) == pytest.approx(np.log(2.0))
+
+
+class TestExpit:
+    """softplus's gradient against scipy's expit, bit for bit: both take exp
+    from libm, so the package needs no scipy to train."""
+
+    @staticmethod
+    def _assert_bitwise_equal(x):
+        got, want = dc.expit(x), scipy_expit(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    @pytest.mark.filterwarnings("error")
+    def test_edge_values(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                 709.782712893384, -709.782712893384, -745.2, 745.2, -710.0, 1e308, -1e308]
+        self._assert_bitwise_equal(np.array(edges))
+        self._assert_bitwise_equal(np.array(edges).reshape(2, 7))
+        for v in edges:  # a 0-d operand, and the overflow path on its own
+            self._assert_bitwise_equal(np.array(v))
+        self._assert_bitwise_equal(np.empty((0, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2), elements=st.floats()))
+    def test_matches_scipy_bitwise(self, x):
+        self._assert_bitwise_equal(x)
+
+    def test_softplus_gradient_is_expit(self):
+        x = np.random.default_rng(3).normal(0.0, 20.0, 751)
+        leaf = dc.leaf(x)
+        dc.backward(dc.sum_(dc.softplus(leaf)))
+        assert np.array_equal(leaf.grad.view(np.uint64), scipy_expit(x).view(np.uint64))
+
+
+# A product over a contracted dimension of 1 is computed as a broadcast
+# multiply. Its values equal matmul's (== below). The one difference in bits
+# is the sign of an exact zero: a zero product comes out -0.0 where matmul's
+# sum gives +0.0. Neither place can see it. Every entry of an HZ chunk goes
+# through exp, and exp(-0.0) == exp(+0.0) == 1.0. In the tape a product entry
+# reaches the loss only through sums, products, leaky_relu and squares, which
+# keep every nonzero result and every magnitude whatever a zero's sign; and
+# Adam's moments start at +0.0, so a -0.0 gradient entry takes the same step.
+_OUTER_SHAPES = [((256, 1), (1, 750)), ((256, 1), (1, 3000)), ((16, 300, 1), (16, 1, 50)),
+                 ((750, 1), (1, 50)), ((300, 1), (16, 1, 50))]
+
+
+class TestOuterProducts:
+    # (256, 2) @ (2, 750) stays on matmul: a broadcast multiply of it would raise
+    @pytest.mark.parametrize("a_shape, b_shape", _OUTER_SHAPES + [((256, 2), (2, 750))])
+    def test_product_equals_matmul(self, a_shape, b_shape):
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        want = np.matmul(a, b)
+        assert np.array_equal(dc._matmul(a, b), want)
+        out = np.empty_like(want)
+        assert dc._matmul(a, b, out=out) is out and np.array_equal(out, want)
+
+    # an outer-product forward, and the BBB output layer, whose input VJP is one
+    @pytest.mark.parametrize("a_shape, b_shape", [((16, 300, 1), (16, 1, 50)),
+                                                  ((750, 1), (1, 50)), ((16, 300, 50), (16, 50, 1)),
+                                                  ((750, 50), (50, 1))])
+    def test_tape_matmul_equals_matmul_form(self, monkeypatch, a_shape, b_shape):
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        w = rng.standard_normal(np.matmul(a, b).shape)
+
+        def run():
+            la, lb = dc.leaf(a), dc.leaf(b)
+            out = dc.matmul(la, lb)
+            dc.backward(dc.sum_(dc.mul(out, w)))
+            return out.value, la.grad, lb.grad
+
+        got = run()
+        monkeypatch.setattr(dc, "_matmul", lambda x, y, out=None: np.matmul(x, y, out=out))
+        want = run()
+        for g, m in zip(got, want):
+            assert g.shape == m.shape and np.array_equal(g, m)
 
 
 class TestArchitecture:

@@ -129,6 +129,26 @@ class TestHzFused:
         for i in rng.choice(n * p, size=min(n * p, 10), replace=False):
             assert rel_err(grad.flat[i], finite_diff_coord(f, pts.ravel(), i)) <= 1e-5
 
+    # at p = 1 each chunk's product is an outer product, computed as a
+    # broadcast multiply (see test_diffcore.TestOuterProducts); p = 2 stays
+    # on matmul. Both against the kernel with every product on matmul.
+    @pytest.mark.parametrize("n", [750, 3000])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_chunk_products_equal_matmul_form(self, monkeypatch, n, p):
+        pts = np.random.default_rng(n + p).standard_normal((n, p))
+
+        def value_and_grad():
+            leaf = dc.leaf(pts)
+            out = hz_statistic(leaf)
+            dc.backward(out)
+            return float(out.value), leaf.grad
+
+        val, grad = value_and_grad()
+        monkeypatch.setattr(dc, "_matmul", lambda a, b, out=None: np.matmul(a, b, out=out))
+        ref_val, ref_grad = value_and_grad()
+        assert val == ref_val
+        assert np.array_equal(grad, ref_grad)
+
     def test_one_tape_node(self):
         leaf = dc.leaf(np.random.default_rng(5).standard_normal((30, 2)))
         out = hz_statistic(leaf)
