@@ -32,6 +32,12 @@ def _slow_modules(loaded):
     return [m for m in loaded if m.split(".")[0] in ("scipy", "jsonschema")]
 
 
+def test_package_import_loads_neither_scipy_stats_nor_spatial():
+    loaded = _modules_loaded("import bnnlv, bnnlv.cli\n")
+    assert [m for m in loaded if m.split(".")[:2] in (["scipy", "stats"],
+                                                       ["scipy", "spatial"])] == []
+
+
 def test_package_import_loads_neither_scipy_nor_jsonschema():
     assert _slow_modules(_modules_loaded("import bnnlv, bnnlv.cli\n")) == []
 
