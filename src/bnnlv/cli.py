@@ -35,7 +35,7 @@ from .metrics import (  # noqa: F401
 from .model import FixedFunction, PriorConfig, predictive_sample_matrix
 from .ncai import NcaiConfig, map_estimate
 from .nonident import bias_probability
-from .train import METHODS, TrainConfig, train_restarts
+from .train import METHODS, TrainConfig, fork_map, train_restarts
 from .vi import MeanFieldPosterior
 
 # ---------------------------------------------------------------------------
@@ -275,6 +275,20 @@ RESULT_SCHEMA = {
         "val_avg_marginal_ll": {"type": "number"},
         "epochs": {"type": "integer"},
         "restarts": {"type": "integer"},
+        "restart_runs": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["seed", "objective", "val_avg_marginal_ll", "epochs"],
+                "properties": {
+                    "seed": {"type": "integer"},
+                    "objective": {"type": "number"},
+                    "val_avg_marginal_ll": {"type": "number"},
+                    "epochs": {"type": "integer"},
+                },
+                "additionalProperties": False,
+            },
+        },
     },
 }
 
@@ -430,6 +444,11 @@ def _run_training(cfg, seed, out_dir):
         "val_avg_marginal_ll": val_ll,
         "epochs": train_cfg.epochs,
         "restarts": train_cfg.restarts,
+        "restart_runs": [
+            {"seed": h.seed, "objective": h.columns["objective"][-1],
+             "val_avg_marginal_ll": h.score, "epochs": len(h)}
+            for h in histories
+        ],
         "version": __version__,
     }
     _write_json(os.path.join(out_dir, "result.json"), result, schema=RESULT_SCHEMA)
@@ -620,20 +639,23 @@ def cmd_map_demo(args):
         sigma2_eps=data.sigma2_eps_true,
     )
     arch = data.gt_arch
-    seeds = np.random.SeedSequence(args.seed).spawn(args.restarts)
-    random_runs = [
-        map_estimate(data, priors, arch, init="random", opt_cfg=opt,
-                     seed=int(s.generate_state(1)[0]))
-        for s in seeds
-    ]
-    gt_run = map_estimate(data, priors, arch, init="ground_truth", opt_cfg=opt, seed=args.seed)
-    random_ljs = [r.log_joint for r in random_runs]
+    seeds = [int(s.generate_state(1)[0])
+             for s in np.random.SeedSequence(args.seed).spawn(args.restarts)]
+
+    def log_joint(i):  # the random starts, then the generative one
+        if i < len(seeds):
+            return map_estimate(data, priors, arch, init="random", opt_cfg=opt,
+                                seed=seeds[i]).log_joint
+        return map_estimate(data, priors, arch, init="ground_truth", opt_cfg=opt,
+                            seed=args.seed).log_joint
+
+    *random_ljs, gt_lj = fork_map(log_joint, args.restarts + 1)
     out_obj = {
         "dataset": args.dataset,
         "random_log_joints": random_ljs,
         "best_random": max(random_ljs),
-        "ground_truth_log_joint": gt_run.log_joint,
-        "gap": max(random_ljs) - gt_run.log_joint,
+        "ground_truth_log_joint": gt_lj,
+        "gap": max(random_ljs) - gt_lj,
     }
     _write_json(os.path.join(args.out, "map.json"), out_obj)
     config = {

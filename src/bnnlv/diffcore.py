@@ -19,6 +19,7 @@ there are none.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +303,16 @@ def backward(loss):
     return {n: n.grad for n in topo if not n._parents and n.op == "leaf"}
 
 
+def _whole(name, value):
+    """``value`` as an int; a bool, a float or any other non-integer is a ConfigError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # an int or a numpy integer
+        except TypeError:
+            pass
+    raise ConfigError(f"{name}: {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Shape of a fully connected net taking (x, z) and emitting y.
@@ -319,7 +330,10 @@ class Architecture:
     leaky_slope: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        for name in ("input_dim_x", "input_dim_z", "output_dim"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        object.__setattr__(self, "hidden_layers",
+                           tuple(_whole("hidden_layers", h) for h in self.hidden_layers))
         if self.input_dim_x < 1:
             raise ConfigError("input_dim_x must be >= 1")
         if self.input_dim_z < 0:

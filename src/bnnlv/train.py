@@ -3,11 +3,13 @@
 One epoch is one full-batch gradient step on the chosen objective
 (negative ELBO, or the constrained objective for the NCAI method), with
 the prior variances optionally re-estimated in closed form before each
-step. Restarts are independent seeded runs; the winner is picked by
-average marginal log-likelihood on the validation split.
+step. Restarts are independent seeded runs, spread over the usable CPUs
+by ``fork_map``; the winner is picked by average marginal log-likelihood
+on the validation split.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,12 +174,18 @@ def eb_update_sw(mu_w, var_w, alpha, beta):
 
 
 class TrainHistory:
-    """Per-epoch trace of the objective and its pieces, one list per history.csv column."""
+    """Per-epoch trace of the objective and its pieces, one list per history.csv column.
+
+    ``seed`` is the run's seed; ``train_restarts`` sets ``score``, the run's
+    validation score.
+    """
 
     COLUMNS = ("epoch", "phase", "objective", "elbo", "hz", "offdiag", "pc_x", "pc_y", "s_w", "s_z")
 
-    def __init__(self):
+    def __init__(self, seed=None):
         self.columns = {name: [] for name in self.COLUMNS}
+        self.seed = seed
+        self.score = None
 
     def append(self, objective, parts, priors, phase):
         row = {
@@ -251,7 +259,7 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
     q, scheme = _init_posterior(data, arch, priors, train_cfg, method, rng)
     view = data.view("train")
     priors = replace(priors)
-    history = TrainHistory()
+    history = TrainHistory(seed)
     epoch_seed = np.random.default_rng(int(rng.integers(0, 2**32)))
     # a start from fitted or generative means first fits only the scales
     phases = ["variance", "joint"] if scheme in ("ground_truth", "map") else ["joint"]
@@ -306,13 +314,91 @@ def restart_select(trained, data, s_ll=2000, seed=0):
 
 def train_restarts(data, arch, priors, ncai_cfg, train_cfg, method, seed, s_ll=2000):
     """Run seeded restarts and return (best posterior, final priors, histories,
-    index, score): the winner's ``restart_select`` score at ``seed`` and S=``s_ll``."""
-    seeds = np.random.SeedSequence(seed).spawn(train_cfg.restarts)
-    results = [
-        train(data, arch, priors, ncai_cfg, train_cfg, method, int(ss.generate_state(1)[0]))
-        for ss in seeds
-    ]
-    pairs = [(q, final_priors(priors, h)) for q, h in results]
-    best, scores = restart_select(pairs, data, s_ll=s_ll, seed=seed)
+    index, score): the winner's ``restart_select`` score at ``seed`` and S=``s_ll``.
+
+    Each restart is trained and scored as one job, and the jobs run through
+    ``fork_map``; the result does not depend on how many processes ran them.
+    Each history carries its restart's ``seed`` and ``score``.
+    """
+    seeds = [int(ss.generate_state(1)[0])
+             for ss in np.random.SeedSequence(seed).spawn(train_cfg.restarts)]
+
+    def job(i):
+        q, history = train(data, arch, priors, ncai_cfg, train_cfg, method, seeds[i])
+        _, (score,) = restart_select([(q, final_priors(priors, history))], data,
+                                     s_ll=s_ll, seed=seed)
+        history.score = score
+        return q, history
+
+    results = fork_map(job, len(seeds))
+    scores = [h.score for _, h in results]
+    best = int(np.argmax(scores))
     q, history = results[best]
     return q, final_priors(priors, history), [h for _, h in results], best, scores[best]
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_JOB = None  # fork_map's job while a call runs; forked workers inherit it
+
+
+def _run_job(i):
+    return _JOB(i)
+
+
+def fork_map(fn, n):
+    """``[fn(0), ..., fn(n-1)]``, on up to one process per usable CPU.
+
+    With k = min(n, usable CPUs) processes, the caller computes indices
+    0, k, 2k, ... itself, and k - 1 forked workers compute the others. A
+    worker inherits ``fn`` and what it closes over from the caller's memory,
+    so only indices and results are pickled. The results, and the exception
+    raised, are those of the plain loop: the lowest index that raises wins,
+    and the indices after it that have not started are cancelled. No worker
+    outlives the call. Without ``fork``, or in a process that runs other
+    threads (where forking can deadlock), the loop runs in the caller.
+    """
+    k = min(n, _usable_cpus())
+    if k > 1:
+        import multiprocessing
+        import threading
+
+        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+            k = 1
+    if k <= 1:
+        return [fn(i) for i in range(n)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _JOB
+    _JOB = fn
+    pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {i: pool.submit(_run_job, i) for i in range(n) if i % k}
+        results = [None] * n
+        failed, error = n, None
+        for i in range(0, n, k):
+            if any(f.done() and f.exception() is not None for j, f in futures.items() if j < i):
+                break  # the loop stops at a worker's earlier failure
+            try:
+                results[i] = fn(i)
+            except Exception as e:
+                failed, error = i, e
+                break
+        for j, f in futures.items():
+            if j > failed:
+                f.cancel()
+        for j, f in futures.items():  # ascending, so the lowest failing index raises
+            if j > failed:
+                break
+            results[j] = f.result()
+        if error is not None:
+            raise error
+        return results
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _JOB = None

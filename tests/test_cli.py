@@ -1,4 +1,6 @@
+import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -29,6 +31,8 @@ from bnnlv.model import PriorConfig
 from bnnlv.ncai import NcaiConfig
 from bnnlv.train import TrainConfig
 from bnnlv.vi import MeanFieldPosterior, random_init
+
+train_mod = importlib.import_module("bnnlv.train")  # the package's ``train`` shadows it
 
 
 def _read(path):
@@ -314,6 +318,31 @@ class TestTrain:
             q, data, priors, which="val", s=300, seed=5
         )
 
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_restart_runs_record_each_restart(self, tmp_path, restarts):
+        cfg_path = tmp_path / "r.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI").replace(
+            "restarts = 1", f"restarts = {restarts}"))
+        blobs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["train", "--config", str(cfg_path), "--seed", "5",
+                         "--out", str(out)]) == 0
+            blobs.append(_read(out / "result.json"))
+        assert blobs[0] == blobs[1]  # no wall time: a fixed seed repeats exactly
+        result = json.loads(blobs[0])
+        runs = result["restart_runs"]
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(5).spawn(restarts)]
+        assert [r["seed"] for r in runs] == seeds
+        assert [r["epochs"] for r in runs] == [25] * restarts
+        scores = [r["val_avg_marginal_ll"] for r in runs]
+        best = runs[result["best_restart"]]
+        assert result["best_restart"] == int(np.argmax(scores))
+        assert best["val_avg_marginal_ll"] == result["val_avg_marginal_ll"]
+        with open(tmp_path / "a" / "history.csv") as fh:
+            last = fh.read().splitlines()[-1].split(",")
+        assert best["objective"] == float(last[2])
+
     def test_penalty_free_matches_plain_descent(self, tmp_path):
         cfg = TRAIN_CONFIG + "lambda1 = 0\nlambda2 = 0\nlambda3 = 0\n"
         paths = {}
@@ -428,6 +457,26 @@ class TestTrain:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "divergence"
+
+    def test_divergence_in_a_worker_exit_code(self, tmp_path, capsys, monkeypatch,
+                                              diverging_restart):
+        # restart 1 of 2 diverges in the forked worker: the same exit and
+        # error line as when both restarts run in this process
+        cfg_path = tmp_path / "two.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="BNNLV_BBB").replace(
+            "restarts = 1", "restarts = 2"))
+        diverging_restart(1, 2, seed=5)
+        lines = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(train_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+            code = main(["train", "--config", str(cfg_path), "--seed", "5",
+                         "--out", str(tmp_path / f"o{cpus}")])
+            assert code == 3
+            assert multiprocessing.active_children() == []
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1]
+        assert json.loads(lines[1]) == {
+            "error": "divergence", "message": "non-finite gradient in block mu_z at epoch 2"}
 
 
 class TestEvaluate:
@@ -657,6 +706,17 @@ class TestMapDemo:
         )
         with open(os.path.join(out, "manifest.json")) as fh:
             assert json.load(fh)["config"]["learning_rate"] == 0.02
+
+    def test_same_report_in_one_process_and_two(self, tmp_path, monkeypatch):
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(train_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"md{cpus}"
+            assert main(["map-demo", "--dataset", "heavy_tail", "--seed", "1", "--epochs", "40",
+                         "--restarts", "2", "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            reports.append(_read(out / "map.json"))
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("flag", ["--epochs", "--restarts"])
     def test_zero_count_is_config_error(self, tmp_path, capsys, monkeypatch, flag):

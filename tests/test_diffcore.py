@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bnnlv import diffcore as dc
+from bnnlv.exceptions import ConfigError
 from oracles import finite_diff_grad, naive_mlp_forward, rel_err
 
 
@@ -261,6 +262,24 @@ class TestArchitecture:
             dc.Architecture(input_dim_x=1, leaky_slope=1.5)
         with pytest.raises(ValueError):
             dc.Architecture(input_dim_x=1, input_dim_z=-1)
+
+    @pytest.mark.parametrize("field", ["input_dim_x", "input_dim_z", "output_dim",
+                                       "hidden_layers"])
+    @pytest.mark.parametrize("value", [True, 1.0, 50.7, "2"], ids=["bool", "whole-float",
+                                                                     "float", "str"])
+    def test_integer_fields_refuse_other_types(self, field, value):
+        # a float was truncated (50.7 hidden units became 50) or kept, and
+        # failed later in random_init; a bool is not a count
+        kwargs = {"input_dim_x": 1, field: (value,) if field == "hidden_layers" else value}
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            dc.Architecture(**kwargs)
+
+    def test_numpy_integers_are_counts(self):
+        arch = dc.Architecture(input_dim_x=np.int64(3), input_dim_z=np.int32(2),
+                               hidden_layers=(np.int64(20), np.uint8(10)), output_dim=np.int16(2))
+        assert arch == dc.Architecture(input_dim_x=3, input_dim_z=2, hidden_layers=(20, 10),
+                                       output_dim=2)
+        assert type(arch.param_count) is int and arch.param_count == 6 * 20 + 21 * 10 + 11 * 2
 
     def test_z_weight_mask_counts(self):
         arch = dc.Architecture(input_dim_x=2, input_dim_z=3, hidden_layers=(7,))

@@ -42,6 +42,13 @@ def test_package_import_loads_neither_scipy_nor_jsonschema():
     assert _slow_modules(_modules_loaded("import bnnlv, bnnlv.cli\n")) == []
 
 
+def test_package_import_loads_no_process_pool():
+    # fork_map imports these where it forks, so start-up does not pay for them
+    loaded = _modules_loaded("import bnnlv, bnnlv.cli\n")
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"
+            or m.startswith("concurrent.futures")] == []
+
+
 def test_gen_data_loads_neither_scipy_nor_jsonschema(tmp_path):
     code = (
         "from bnnlv.cli import main\n"

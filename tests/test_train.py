@@ -1,3 +1,9 @@
+import importlib
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -15,12 +21,16 @@ from bnnlv.train import (
     adam_step,
     eb_update_sw,
     eb_update_sz,
+    fork_map,
     optimize,
     restart_select,
     train,
     train_restarts,
 )
 from bnnlv.vi import MeanFieldPosterior
+
+# the module, which the package's ``train`` function shadows as an attribute
+train_mod = importlib.import_module("bnnlv.train")
 
 
 def _linear_data(n=40, slope=2.0, noise=0.05, seed=0):
@@ -355,3 +365,122 @@ class TestRestarts:
         assert p1 == p2
         # the score passed on is the winner's, at the run seed
         assert s1 == s2 == avg_marginal_ll(q1, data, p1, which="val", s=300, seed=0)
+
+    @pytest.mark.parametrize("method", ["NCAI", "BNNLV_BBB"])
+    def test_forked_restarts_equal_in_process(self, monkeypatch, method):
+        # two processes (forced, so a one-CPU host runs the fork path too)
+        # give the bits of one: the job depends on its restart seed alone
+        data = gen_synthetic("heavy_tail", seed=5, sizes=(12, 4, 0))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        cfg = TrainConfig(epochs=8, restarts=3, warm_epochs=10, n_mc=2)
+        real_train = train_mod.train
+
+        def train_noting_pid(*args, **kwargs):
+            q, history = real_train(*args, **kwargs)
+            history.pid = os.getpid()
+            return q, history
+
+        monkeypatch.setattr(train_mod, "train", train_noting_pid)
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(train_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+            runs[cpus] = train_restarts(data, arch, PriorConfig(), NcaiConfig(), cfg, method,
+                                        seed=0, s_ll=300)
+            assert multiprocessing.active_children() == []
+        (q1, p1, h1, b1, s1), (q2, p2, h2, b2, s2) = runs[1], runs[2]
+        assert [h.pid == os.getpid() for h in h2] == [True, False, True]
+        for a, b in zip(q1.params(), q2.params()):
+            assert np.array_equal(a, b)
+        for one, two in zip(h1, h2):
+            assert (one.seed, one.score) == (two.seed, two.score)
+            assert one.columns["phase"] == two.columns["phase"]
+            for name in one.COLUMNS:
+                if name != "phase":
+                    assert np.array_equal(one.columns[name], two.columns[name], equal_nan=True)
+        assert (b1, s1, p1) == (b2, s2, p2)
+        assert s1 == max(h.score for h in h1)
+
+    def test_divergence_in_a_worker(self, monkeypatch, diverging_restart):
+        # restart 1 diverges; with two processes it runs in the worker, and the
+        # error that arrives is the one the in-process loop raises
+        data = gen_synthetic("heavy_tail", seed=4, sizes=(10, 4, 0))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        cfg = TrainConfig(epochs=5, restarts=3, warm_epochs=5)
+        diverging_restart(1, 3, seed=0)
+        errors = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(train_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(DivergenceError) as err:
+                train_restarts(data, arch, PriorConfig(), NcaiConfig(), cfg, "BNNLV_BBB", seed=0)
+            errors[cpus] = err.value
+            assert multiprocessing.active_children() == []
+        for e in errors.values():
+            assert str(e) == "non-finite gradient in block mu_z at epoch 2"
+            assert e.history == [3.0, 2.0]
+            assert e.diagnostics == {"param_index": 2, "block": "mu_z", "epoch": 2}
+
+
+class TestForkMap:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def use(n):
+            monkeypatch.setattr(train_mod, "_usable_cpus", lambda: n)
+        return use
+
+    def test_caller_takes_one_share(self, cpus):
+        cpus(2)
+        out = fork_map(lambda i: (i * i, os.getpid()), 5)
+        assert [v for v, _ in out] == [0, 1, 4, 9, 16]
+        assert [pid == os.getpid() for _, pid in out] == [True, False, True, False, True]
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_runs_in_the_caller(self, cpus):
+        cpus(1)
+        assert fork_map(lambda i: os.getpid(), 3) == [os.getpid()] * 3
+
+    def test_other_threads_keep_the_loop_in_the_caller(self, cpus):
+        # forking while another thread may hold a lock can deadlock the child
+        cpus(2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30,))
+        waiter.start()
+        try:
+            assert fork_map(lambda i: os.getpid(), 3) == [os.getpid()] * 3
+        finally:
+            release.set()
+            waiter.join(timeout=30)
+        assert not waiter.is_alive()
+
+    @pytest.mark.parametrize("failing, raised", [({1, 2}, 1), ({0, 1}, 0), ({3}, 3)])
+    def test_lowest_failing_index_raises(self, cpus, failing, raised):
+        cpus(2)
+
+        def job(i):
+            if i in failing:
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as err:
+            fork_map(job, 6)
+        assert err.value.args == (raised,)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_failure_cancels_later_jobs(self, cpus, tmp_path):
+        # the worker is busy with index 1 when the caller fails at index 0,
+        # so index 7 has not started and is never run, nor are the caller's
+        # later indices; 3 and 5 may already be queued for the worker
+        cpus(2)
+
+        def job(i):
+            if i == 0:
+                raise RuntimeError("first")
+            if i == 1:
+                time.sleep(0.5)
+            (tmp_path / str(i)).touch()
+
+        with pytest.raises(RuntimeError, match="first"):
+            fork_map(job, 8)
+        assert multiprocessing.active_children() == []
+        ran = {int(p.name) for p in tmp_path.iterdir()}
+        assert 1 in ran
+        assert ran.isdisjoint({2, 4, 6, 7})
