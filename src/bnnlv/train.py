@@ -182,7 +182,7 @@ class TrainHistory:
 
     COLUMNS = ("epoch", "phase", "objective", "elbo", "hz", "offdiag", "pc_x", "pc_y", "s_w", "s_z")
 
-    def __init__(self, seed=None):
+    def __init__(self, seed):
         self.columns = {name: [] for name in self.COLUMNS}
         self.seed = seed
         self.score = None
