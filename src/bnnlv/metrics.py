@@ -17,6 +17,7 @@ from .diffcore import mlp_forward
 from .exceptions import ConfigError
 from .model import add_output_noise, predictive_means, predictive_sample_matrix
 from .ncai import hz_statistic, pearson_penalty
+from .train import fork_map
 from .vi import aggregated_posterior_logpdf
 
 
@@ -256,57 +257,89 @@ def compute_report(q_w, data, priors, method="NCAI", which="test", s=2000, seed=
     """Full evaluation of a trained posterior on one split.
 
     Predictive metrics use the requested split; latent diagnostics always
-    use the training block, where the per-point factors live.
+    use the training block, where the per-point factors live. The report is
+    made of independent jobs, each drawing from its own seed: the predictive
+    pass, and for a latent model the KSG/Pearson/KS/reconstruction group, HZ
+    and JS. They run through ``train.fork_map``, so the report, and the
+    error a bad input raises, are those of the one-process loop whatever the
+    number of processes. None of the jobs holds an N x N array (KSG is O(N),
+    HZ and JS work in row chunks).
     """
     check_interval_samples(s)
-    # one predictive pass: the interval draws add noise to the means in
-    # place, and the block is freed before the latent diagnostics; none of
-    # them holds an N x N array (KSG is O(N), HZ and JS work in row chunks)
-    y, means, rng = _draw_means(q_w, data, priors, which, s, seed)
-    avg_ll = float(np.mean(_logp_matrix(means, y, priors.sigma2_eps)))
-    rmse = _rmse(means, y)
-    picp, mpiw = _interval(add_output_noise(means, priors, rng).transpose(1, 0, 2), y, 0.95)
-    del means
-    report = MetricsReport(method=method, avg_marginal_ll=avg_ll, rmse=rmse, picp=picp, mpiw=mpiw)
+
+    def predictive():
+        # one predictive pass: the interval draws add noise to the means in place
+        y, means, rng = _draw_means(q_w, data, priors, which, s, seed)
+        avg_ll = float(np.mean(_logp_matrix(means, y, priors.sigma2_eps)))
+        rmse = _rmse(means, y)
+        picp, mpiw = _interval(add_output_noise(means, priors, rng).transpose(1, 0, 2), y, 0.95)
+        return {"avg_marginal_ll": avg_ll, "rmse": rmse, "picp": picp, "mpiw": mpiw}
+
+    jobs = [predictive]
     mu_z = getattr(q_w, "mu_z", None)
     if mu_z is not None and q_w.input_dim_z > 0:
-        train = data.view("train")
-        if mu_z.shape[0] != train.x.shape[0]:
-            raise ConfigError(
-                f"model carries latent factors for {mu_z.shape[0]} training points "
-                f"but the data has {train.x.shape[0]}; latent diagnostics need the "
-                "training set the model was fit on"
-            )
-        report.recon_mse = recon_mse(q_w, data)
-        report.mi_x_z = kraskov_mi(train.x, mu_z)
-        report.mi_y_z = kraskov_mi(train.y, mu_z)
-        report.pc_x_z = float(pearson_penalty(train.x, mu_z))
-        report.pc_y_z = float(pearson_penalty(train.y, mu_z))
-        report.hz_mu_z = float(hz_statistic(mu_z))
-        rng = np.random.default_rng(seed + 3)
-        prior_draws = rng.normal(0.0, np.sqrt(priors.sigma2_z), size=mu_z.size)
-        report.ks_z_prior = ks_two_sample(mu_z.ravel(), prior_draws)
-        sigma_z = np.asarray(q_w.sigma_z)
-        n, kdim = mu_z.shape
-        s2z = priors.sigma2_z
+        # the k-NN estimators import these where they run; loaded here, before
+        # any fork, they stay loaded for the next report in this process
+        import scipy.spatial  # noqa: F401
+        import scipy.special  # noqa: F401
 
-        def log_prior(pts):
-            pts = np.atleast_2d(pts)
-            return -0.5 * np.sum(pts * pts / s2z + np.log(2.0 * np.pi * s2z), axis=1)
+        # with two processes the caller runs jobs 0 and 2 (predictive pass,
+        # HZ) and the worker 1 and 3, about equal shares; job 1 comes before
+        # HZ because it makes the checks (row count, KSG's N > k) that the
+        # one-process loop meets first
+        jobs += [lambda: _latent_diagnostics(q_w, data, priors, seed + 3),
+                 lambda: {"hz_mu_z": float(hz_statistic(mu_z))},
+                 lambda: {"js_z_prior": _js_to_prior(q_w, priors, seed + 4)}]
+    fields = {}
+    for part in fork_map(lambda i: jobs[i](), len(jobs)):
+        fields.update(part)
+    return MetricsReport(method=method, **fields)
 
-        def sample_prior(r, m):
-            return r.normal(0.0, np.sqrt(s2z), size=(m, kdim))
 
-        def sample_agg(r, m):
-            idx = r.integers(0, n, size=m)
-            return mu_z[idx] + sigma_z[idx] * r.standard_normal((m, kdim))
-
-        report.js_z_prior = js_divergence_mc(
-            lambda pts: aggregated_posterior_logpdf(q_w, pts),
-            sample_agg,
-            log_prior,
-            sample_prior,
-            s=2000,
-            seed=seed + 4,
+def _latent_diagnostics(q_w, data, priors, seed):
+    """Reconstruction error, KSG MI and Pearson of the latent means against
+    x and y, and KS against prior draws at ``seed``."""
+    mu_z, train = q_w.mu_z, data.view("train")
+    if mu_z.shape[0] != train.x.shape[0]:
+        raise ConfigError(
+            f"model carries latent factors for {mu_z.shape[0]} training points "
+            f"but the data has {train.x.shape[0]}; latent diagnostics need the "
+            "training set the model was fit on"
         )
-    return report
+    prior_draws = np.random.default_rng(seed).normal(0.0, np.sqrt(priors.sigma2_z),
+                                                     size=mu_z.size)
+    return {
+        "recon_mse": recon_mse(q_w, data),
+        "mi_x_z": kraskov_mi(train.x, mu_z),
+        "mi_y_z": kraskov_mi(train.y, mu_z),
+        "pc_x_z": float(pearson_penalty(train.x, mu_z)),
+        "pc_y_z": float(pearson_penalty(train.y, mu_z)),
+        "ks_z_prior": ks_two_sample(mu_z.ravel(), prior_draws),
+    }
+
+
+def _js_to_prior(q_w, priors, seed):
+    """JS divergence between the aggregated latent posterior and the prior."""
+    mu_z, sigma_z = q_w.mu_z, np.asarray(q_w.sigma_z)
+    n, kdim = mu_z.shape
+    s2z = priors.sigma2_z
+
+    def log_prior(pts):
+        pts = np.atleast_2d(pts)
+        return -0.5 * np.sum(pts * pts / s2z + np.log(2.0 * np.pi * s2z), axis=1)
+
+    def sample_prior(r, m):
+        return r.normal(0.0, np.sqrt(s2z), size=(m, kdim))
+
+    def sample_agg(r, m):
+        idx = r.integers(0, n, size=m)
+        return mu_z[idx] + sigma_z[idx] * r.standard_normal((m, kdim))
+
+    return js_divergence_mc(
+        lambda pts: aggregated_posterior_logpdf(q_w, pts),
+        sample_agg,
+        log_prior,
+        sample_prior,
+        s=2000,
+        seed=seed,
+    )

@@ -94,8 +94,9 @@ def optimize(loss_fn, params, cfg, epochs):
     to max(1, |value|)) over the last ``cfg.convergence_window`` epochs.
     ``params`` is updated in place; returns the per-epoch objective values.
 
-    Raises DivergenceError on a non-finite objective, or on a non-finite
-    gradient, naming the block.
+    Raises DivergenceError on a non-finite objective, on a non-finite
+    gradient, naming the block, or on a DivergenceError of ``loss_fn``,
+    whose message and diagnostics gain the epoch.
     """
     names = list(params)
     state = adam_init([params[k] for k in names])
@@ -103,7 +104,11 @@ def optimize(loss_fn, params, cfg, epochs):
     values = []
     for epoch in range(epochs):
         leaves = {k: dc.leaf(params[k]) for k in names}
-        obj = loss_fn(leaves)
+        try:
+            obj = loss_fn(leaves)
+        except DivergenceError as e:
+            raise DivergenceError(f"{e} at epoch {epoch}", history=values,
+                                  diagnostics={**e.diagnostics, "epoch": epoch}) from e
         value = float(obj.value)
         if not np.isfinite(value):
             raise DivergenceError(f"objective became non-finite at epoch {epoch}",

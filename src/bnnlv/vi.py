@@ -13,7 +13,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Architecture
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DivergenceError
 from .model import log_likelihood
 
 _LOGPDF_CHUNK = 64  # rows of points aggregated_posterior_logpdf scores at once
@@ -155,6 +155,17 @@ def kl_diag_gaussian(mu_q, var_q, mu_p, var_p):
     return out if isinstance(out, dc.Node) else float(out)
 
 
+def _variance(leaves, block):
+    """softplus(rho)^2 of a scale block. Raises DivergenceError naming the
+    block once a scale has underflowed to 0, where the KL has no value."""
+    sigma = dc.softplus(leaves[block])
+    var = dc.mul(sigma, sigma)
+    if np.any(dc._val(var) <= 0.0):
+        raise DivergenceError(f"variance underflowed to 0 in block {block}",
+                              diagnostics={"block": block})
+    return var
+
+
 def elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
     """Build the ELBO as a graph over the leaf dict {mu_w, rho_w, mu_z, rho_z}.
 
@@ -181,11 +192,9 @@ def elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
     Z = dc.gaussian_reparam(leaves["mu_z"], leaves["rho_z"], eps_z) if has_z else None
     ell = dc.mul(log_likelihood(arch, w, Z, x, y, priors.sigma2_eps), 1.0 / n_mc)
 
-    sigma_w = dc.softplus(leaves["rho_w"])
-    kl_w = kl_diag_gaussian(leaves["mu_w"], dc.mul(sigma_w, sigma_w), 0.0, priors.sigma2_w)
+    kl_w = kl_diag_gaussian(leaves["mu_w"], _variance(leaves, "rho_w"), 0.0, priors.sigma2_w)
     if has_z:
-        sigma_z = dc.softplus(leaves["rho_z"])
-        kl_z = kl_diag_gaussian(leaves["mu_z"], dc.mul(sigma_z, sigma_z), 0.0, priors.sigma2_z)
+        kl_z = kl_diag_gaussian(leaves["mu_z"], _variance(leaves, "rho_z"), 0.0, priors.sigma2_z)
     else:
         kl_z = 0.0
     value = dc.add(ell, dc.neg(dc.add(kl_w, kl_z)))

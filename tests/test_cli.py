@@ -2,6 +2,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -457,6 +458,19 @@ class TestTrain:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "divergence"
+
+    def test_large_learning_rate_exit_code(self, tmp_path, capsys):
+        # the variational scales underflow to 0: a divergence, not a traceback
+        cfg_path = tmp_path / "lr.cfg"
+        cfg_path.write_text("method = BNNLV_BBB\ndataset = heavy_tail\nsizes = [25, 8, 8]\n"
+                            "hidden = [5]\nlatent_dim = 1\nlearning_rate = 100\n"
+                            "epochs = 50\nrestarts = 1\ns_eval = 100\n")
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "divergence"
+        assert re.fullmatch(r"variance underflowed to 0 in block rho_w at epoch \d+",
+                            err["message"])
 
     def test_divergence_in_a_worker_exit_code(self, tmp_path, capsys, monkeypatch,
                                               diverging_restart):

@@ -1,4 +1,8 @@
+import concurrent.futures
+import importlib
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +14,7 @@ from scipy.special import logsumexp
 from scipy.stats import ks_2samp, norm
 
 from bnnlv import diffcore as dc
+from bnnlv import metrics as metrics_mod
 from bnnlv.data import DataSet, gen_synthetic, ground_truth_fn
 from bnnlv.diffcore import Architecture
 from bnnlv.exceptions import ConfigError
@@ -31,6 +36,9 @@ from bnnlv.nonident import y_encoding_transform
 from bnnlv.train import TrainConfig, train
 from bnnlv.vi import MeanFieldPosterior, random_init
 from oracles import dense_kraskov_mi, point_mass
+
+# the module, which the package's ``train`` function shadows as an attribute
+train_mod = importlib.import_module("bnnlv.train")
 
 LINEAR = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(), output_dim=1)
 
@@ -419,12 +427,16 @@ class TestComputeReport:
         assert report.mi_x_z is None
         assert report.js_z_prior is None
 
-    def test_row_mismatch_guard(self):
+    def test_row_mismatch_guard(self, monkeypatch):
+        # at two processes the check runs in the worker, and its error arrives
         data = gen_synthetic("heavy_tail", seed=4, sizes=(25, 0, 10))
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
         q = random_init(arch, 30, seed=0)
-        with pytest.raises(ConfigError, match="latent factors"):
-            compute_report(q, data, PriorConfig(), s=150)
+        for cpus in (1, 2):
+            monkeypatch.setattr(train_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(ConfigError, match="latent factors"):
+                compute_report(q, data, PriorConfig(), s=150)
+            assert multiprocessing.active_children() == []
 
     def test_deterministic(self):
         data = gen_synthetic("heavy_tail", seed=5, sizes=(20, 0, 15))
@@ -484,9 +496,11 @@ class TestComputeReport:
             tracemalloc.stop()
         assert peak < 2.5 * s * n * 8
 
-    def test_latent_diagnostics_hold_no_n_by_n_array(self):
+    def test_latent_diagnostics_hold_no_n_by_n_array(self, monkeypatch):
         # at N_train = 5000 one N x N float array is 200 MB; the report's
-        # predictive pass is small here (S = 100 on 10 test points)
+        # predictive pass is small here (S = 100 on 10 test points). One
+        # process, so that tracemalloc sees every job of the report
+        monkeypatch.setattr(train_mod, "_usable_cpus", lambda: 1)
         n = 5000
         data = gen_synthetic("heavy_tail", seed=8, sizes=(n, 0, 10))
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
@@ -499,3 +513,59 @@ class TestComputeReport:
             tracemalloc.stop()
         assert report.mi_x_z is not None and report.js_z_prior is not None
         assert peak < 40e6
+
+
+class TestReportInWorkers:
+    """compute_report's jobs run through fork_map: two processes (forced, so
+    a one-CPU host runs the fork path too) give the report of one."""
+
+    @staticmethod
+    def _latent_case(n_train, seed=0):
+        data = gen_synthetic("heavy_tail", seed=seed, sizes=(n_train, 0, 12))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        return random_init(arch, n_train, seed=seed), data
+
+    def test_two_processes_give_the_one_process_report(self, monkeypatch, tmp_path):
+        # the JS job runs in the worker at two processes; it notes its pid
+        js_to_prior = metrics_mod._js_to_prior
+
+        def js_noting_pid(*args):
+            (tmp_path / "js_pid").write_text(str(os.getpid()))
+            return js_to_prior(*args)
+
+        monkeypatch.setattr(metrics_mod, "_js_to_prior", js_noting_pid)
+        q, data = self._latent_case(40)
+        priors = PriorConfig(sigma2_z=0.7, sigma2_eps=0.2)
+        reports, pids = {}, {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(train_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+            reports[cpus] = compute_report(q, data, priors, s=150, seed=3)
+            pids[cpus] = int((tmp_path / "js_pid").read_text())
+            assert multiprocessing.active_children() == []
+        assert reports[1] == reports[2]
+        assert None not in reports[2].to_dict().values()
+        assert pids[1] == os.getpid() != pids[2]
+
+    @pytest.mark.parametrize("n_train", [1, 2, 3, 5])
+    def test_too_few_training_rows_raise_the_one_process_error(self, monkeypatch, n_train):
+        # HZ (run by the caller) needs 3 rows and KSG (in the worker) 6; the
+        # error is the KSG one, as the one-process loop meets it first
+        q, data = self._latent_case(n_train)
+        errors = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(train_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(Exception) as err:
+                compute_report(q, data, PriorConfig(), s=100)
+            errors[cpus] = (type(err.value), str(err.value))
+            assert multiprocessing.active_children() == []
+        assert errors[1] == errors[2] == (ValueError, f"need more than k=5 points, got {n_train}")
+
+    def test_weight_only_model_starts_no_worker(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a report without latent diagnostics forked a worker")
+
+        monkeypatch.setattr(train_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        report = compute_report(_identity_model(), _identity_data(), PriorConfig(), s=150)
+        assert report.js_z_prior is None
+        assert multiprocessing.active_children() == []

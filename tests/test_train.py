@@ -27,7 +27,7 @@ from bnnlv.train import (
     train,
     train_restarts,
 )
-from bnnlv.vi import MeanFieldPosterior
+from bnnlv.vi import MeanFieldPosterior, elbo_graph, random_init
 
 # the module, which the package's ``train`` function shadows as an attribute
 train_mod = importlib.import_module("bnnlv.train")
@@ -108,6 +108,23 @@ class TestOptimize:
         assert err.value.diagnostics["param_index"] == 1
         assert err.value.diagnostics["epoch"] == 0
         assert err.value.history == [2.0]
+
+    @pytest.mark.parametrize("block", ["rho_w", "rho_z"])
+    def test_underflowed_variance_names_block(self, block):
+        # softplus(-1000) is 0 in float64, where the ELBO's KL has no value
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        params = dict(zip(("mu_w", "rho_w", "mu_z", "rho_z"), random_init(arch, 6, 0).params()))
+        params[block] = np.full_like(params[block], -1000.0)
+        x = np.linspace(-1.0, 1.0, 6).reshape(-1, 1)
+
+        def loss(leaves):
+            return dc.neg(elbo_graph(arch, leaves, x, x, PriorConfig(), 1, 0)[0])
+
+        with pytest.raises(DivergenceError) as err:
+            optimize(loss, params, TrainConfig(), 5)
+        assert str(err.value) == f"variance underflowed to 0 in block {block} at epoch 0"
+        assert err.value.diagnostics == {"block": block, "epoch": 0}
+        assert err.value.history == []
 
 
 class TestTrainConfig:
@@ -316,6 +333,18 @@ class TestTrain:
         with pytest.raises(DivergenceError) as err:
             train(data, arch, priors, NcaiConfig(), cfg, "BNNLV_BBB", seed=0)
         assert err.value.history is not None
+
+    def test_large_learning_rate_is_a_divergence(self):
+        # steps of size 100 drive rho_w so low that its softplus underflows to 0
+        data = gen_synthetic("heavy_tail", seed=0, sizes=(25, 8, 8))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
+        cfg = TrainConfig(learning_rate=100.0, epochs=50, restarts=1)
+        with pytest.raises(DivergenceError) as err:
+            train(data, arch, PriorConfig(), NcaiConfig(), cfg, "BNNLV_BBB", seed=0)
+        epoch = len(err.value.history)
+        assert 0 < epoch < 50
+        assert str(err.value) == f"variance underflowed to 0 in block rho_w at epoch {epoch}"
+        assert err.value.diagnostics == {"block": "rho_w", "epoch": epoch}
 
 
 class TestRestarts:
