@@ -414,6 +414,12 @@ def build_experiment(cfg, seed):
 
     arch = Architecture(input_dim_x=data.input_dim, input_dim_z=cfg["latent_dim"],
                         output_dim=data.output_dim, **given(Architecture))
+    n_train = len(data.train_idx)
+    if arch.input_dim_z > 0 and n_train <= 5:
+        # the report's KSG MI needs more rows than its k = 5 neighbours; say so before training
+        source = "sizes" if "dataset" in cfg else f"train_csv {cfg['train_csv']}"
+        raise ConfigError(f"{source} gives {n_train} training rows; a latent model "
+                          "needs more than 5")
     priors, ncai_cfg, train_cfg = (cls(**given(cls)) for cls in _LIBRARY_CONFIGS)
     return data, arch, priors, ncai_cfg, train_cfg, method, cfg["s_eval"]
 

@@ -362,11 +362,20 @@ def fork_map(fn, n):
     With k = min(n, usable CPUs) processes, the caller computes indices
     0, k, 2k, ... itself, and k - 1 forked workers compute the others. A
     worker inherits ``fn`` and what it closes over from the caller's memory,
-    so only indices and results are pickled. The results, and the exception
-    raised, are those of the plain loop: the lowest index that raises wins,
-    and the indices after it that have not started are cancelled. No worker
-    outlives the call. Without ``fork``, or in a process that runs other
-    threads (where forking can deadlock), the loop runs in the caller.
+    so only indices and results are pickled. The caller collects the results
+    in index order, so they, and the exception raised, are those of the
+    plain loop: the lowest index that raises wins, no caller index after it
+    runs, and the worker indices after it that have not started are
+    cancelled. No worker outlives the call. Without ``fork``, or in a
+    process that runs other threads (where forking can deadlock), the loop
+    runs in the caller.
+
+    The order has a price: before its index i + k the caller waits for the
+    workers' indices below it, so a worker job that outlasts the caller's
+    index i leaves the caller idle. Restarts and MAP starts cost about the
+    same each, and a report's first job (the predictive pass) is its
+    longest, so the callers in this package do not wait. List the
+    expensive jobs first.
     """
     k = min(n, _usable_cpus())
     if k > 1:
@@ -383,27 +392,8 @@ def fork_map(fn, n):
     _JOB = fn
     pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = {i: pool.submit(_run_job, i) for i in range(n) if i % k}
-        results = [None] * n
-        failed, error = n, None
-        for i in range(0, n, k):
-            if any(f.done() and f.exception() is not None for j, f in futures.items() if j < i):
-                break  # the loop stops at a worker's earlier failure
-            try:
-                results[i] = fn(i)
-            except Exception as e:
-                failed, error = i, e
-                break
-        for j, f in futures.items():
-            if j > failed:
-                f.cancel()
-        for j, f in futures.items():  # ascending, so the lowest failing index raises
-            if j > failed:
-                break
-            results[j] = f.result()
-        if error is not None:
-            raise error
-        return results
+        theirs = pool.map(_run_job, [i for i in range(n) if i % k])
+        return [next(theirs) if i % k else fn(i) for i in range(n)]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         _JOB = None

@@ -148,10 +148,7 @@ def kl_diag_gaussian(mu_q, var_q, mu_p, var_p):
         dc.add(np.log(var_p_v), dc.neg(dc.log(var_q))),
         dc.add(dc.div(dc.add(var_q, dc.mul(diff, diff)), var_p_v), -1.0),
     )
-    # broadcast against a common shape so scalar priors count every coordinate
-    shape = np.broadcast_shapes(np.shape(dc._val(mu_q)), np.shape(var_q_v))
-    total = dc.sum_(dc.mul(terms, np.ones(shape)))
-    out = dc.mul(total, 0.5)
+    out = dc.mul(dc.sum_(terms), 0.5)
     return out if isinstance(out, dc.Node) else float(out)
 
 
@@ -182,12 +179,10 @@ def elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
     has_z = arch.input_dim_z > 0
     k = arch.input_dim_z
 
-    eps_w = np.empty((n_mc, arch.param_count))
-    eps_z = np.empty((n_mc, n, k))
-    for s in range(n_mc):
-        eps_w[s] = rng.standard_normal(arch.param_count)
-        if has_z:
-            eps_z[s] = rng.standard_normal((n, k))
+    # one row per sample, laid out as model.predictive_means lays out its draws
+    p = arch.param_count
+    eps = rng.standard_normal((n_mc, p + n * k))
+    eps_w, eps_z = eps[:, :p], eps[:, p:].reshape(n_mc, n, k)
     w = dc.gaussian_reparam(leaves["mu_w"], leaves["rho_w"], eps_w)
     Z = dc.gaussian_reparam(leaves["mu_z"], leaves["rho_z"], eps_z) if has_z else None
     ell = dc.mul(log_likelihood(arch, w, Z, x, y, priors.sigma2_eps), 1.0 / n_mc)

@@ -44,7 +44,7 @@ from bnnlv.nonident import (
     y_encoding_transform,
     LayerTransformSpec,
 )
-from bnnlv.train import TrainConfig, eb_update_sw, eb_update_sz, train
+from bnnlv.train import TrainConfig, eb_update_sw, eb_update_sz, fork_map, train
 from bnnlv.vi import elbo, elbo_graph, random_init
 
 ONE_NODE = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(1,), output_dim=1)
@@ -143,14 +143,14 @@ def test_c03_map_overfits_past_ground_truth():
     )
 
     opt = TrainConfig(epochs=3000, restarts=1, learning_rate=0.01)
-    seeds = np.random.SeedSequence(0).spawn(10)
-    best = max(
-        map_estimate(
-            data, priors, data.gt_arch, init="random", opt_cfg=opt,
-            seed=int(s.generate_state(1)[0]),
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(0).spawn(10)]
+
+    def log_joint(i):
+        return map_estimate(
+            data, priors, data.gt_arch, init="random", opt_cfg=opt, seed=seeds[i],
         ).log_joint
-        for s in seeds
-    )
+
+    best = max(fork_map(log_joint, len(seeds)))
     assert best - gt_lj >= 100.0
     assert time.time() - start < 600.0
 
@@ -302,30 +302,43 @@ DESK_ARCH = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(50,), outp
 DESK_CFG = TrainConfig(epochs=3000, restarts=1, warm_epochs=2000, init="warm")
 
 
-def _desk_run(name, seed, method, sigma2_z):
-    data = gen_synthetic(name, seed=seed)
-    priors = PriorConfig(sigma2_w=1.0, sigma2_z=sigma2_z, sigma2_eps=0.1, eb_w=True)
-    q, history = train(data, DESK_ARCH, priors, NcaiConfig(), DESK_CFG, method, seed=seed)
-    return data, priors, q
+# NCAI first: a desk NCAI run costs about three BBB runs, and fork_map's
+# caller takes indices 0, k, 2k, ..., so the NCAI runs spread over the processes
+DESK_RUNS = [(method, seed) for method in ("NCAI", "BNNLV_BBB") for seed in range(5)]
+
+
+def _desk_runs(name, sigma2_z, score):
+    """{(method, seed): score(data, priors, q, seed)} over DESK_RUNS, one
+    fork_map job per run."""
+    def job(i):
+        method, seed = DESK_RUNS[i]
+        data = gen_synthetic(name, seed=seed)
+        priors = PriorConfig(sigma2_w=1.0, sigma2_z=sigma2_z, sigma2_eps=0.1, eb_w=True)
+        q, _ = train(data, DESK_ARCH, priors, NcaiConfig(), DESK_CFG, method, seed=seed)
+        return score(data, priors, q, seed)
+
+    return dict(zip(DESK_RUNS, fork_map(job, len(DESK_RUNS))))
 
 
 @pytest.mark.slow
 def test_c08_constrained_beats_plain_descent_on_depeweg():
     start = time.time()
+
+    def score(data, priors, q, seed):
+        train_view = data.view("train")
+        return (
+            avg_marginal_ll(q, data, priors, which="test", s=2000, seed=seed),
+            abs(pearson_penalty(train_view.y, q.mu_z)),
+            hz_statistic(q.mu_z),
+        )
+
+    scores = _desk_runs("depeweg", 1.0, score)
     ll_wins = pc_wins = hz_wins = 0
     for seed in range(5):
-        scores = {}
-        for method in ("NCAI", "BNNLV_BBB"):
-            data, priors, q = _desk_run("depeweg", seed, method, sigma2_z=1.0)
-            train_view = data.view("train")
-            scores[method] = (
-                avg_marginal_ll(q, data, priors, which="test", s=2000, seed=seed),
-                abs(pearson_penalty(train_view.y, q.mu_z)),
-                hz_statistic(q.mu_z),
-            )
-        ll_wins += scores["NCAI"][0] > scores["BNNLV_BBB"][0]
-        pc_wins += scores["NCAI"][1] < scores["BNNLV_BBB"][1]
-        hz_wins += scores["NCAI"][2] < scores["BNNLV_BBB"][2]
+        ncai, bbb = scores["NCAI", seed], scores["BNNLV_BBB", seed]
+        ll_wins += ncai[0] > bbb[0]
+        pc_wins += ncai[1] < bbb[1]
+        hz_wins += ncai[2] < bbb[2]
     assert ll_wins >= 4
     assert pc_wins >= 4
     assert hz_wins >= 4
@@ -334,13 +347,9 @@ def test_c08_constrained_beats_plain_descent_on_depeweg():
 
 @pytest.mark.slow
 def test_c09_constraints_suppress_input_latent_dependence():
-    mi_wins = 0
-    for seed in range(5):
-        mi = {}
-        for method in ("NCAI", "BNNLV_BBB"):
-            data, _, q = _desk_run("heavy_tail", seed, method, sigma2_z=0.01)
-            mi[method] = kraskov_mi(data.view("train").x, q.mu_z)
-        mi_wins += mi["NCAI"] < mi["BNNLV_BBB"]
+    mi = _desk_runs("heavy_tail", 0.01,
+                    lambda data, priors, q, seed: kraskov_mi(data.view("train").x, q.mu_z))
+    mi_wins = sum(mi["NCAI", seed] < mi["BNNLV_BBB", seed] for seed in range(5))
     assert mi_wins >= 4
 
 

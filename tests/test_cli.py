@@ -257,6 +257,17 @@ init = warm
 """
 
 
+# a depeweg run small enough to test the training row count, the first of sizes
+FEW_ROWS_CONFIG = """
+method = {method}
+dataset = depeweg
+sizes = {sizes}
+hidden = [5]
+epochs = 5
+restarts = 1
+"""
+
+
 def _run_train(tmp_path, method, name):
     cfg_path = tmp_path / f"{name}.cfg"
     cfg_path.write_text(TRAIN_CONFIG.format(method=method))
@@ -442,6 +453,42 @@ class TestTrain:
         out = tmp_path / "o"
         code = main(["train", "--config", str(cfg_path), "--out", str(out)])
         _assert_config_error(code, capsys, out)
+
+    @pytest.mark.parametrize("method, n_train", [
+        ("NCAI", 5), ("NCAI", 4), ("NCAI", 2), ("BNNLV_BBB", 4),
+    ])
+    def test_too_few_training_rows_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                   method, n_train):
+        # the report's KSG MI needs more than 5 training rows; that is
+        # checked before training, not after it
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        cfg_path = tmp_path / "few.cfg"
+        cfg_path.write_text(FEW_ROWS_CONFIG.format(method=method, sizes=f"[{n_train}, 4, 4]"))
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"sizes gives {n_train} training rows")
+        assert not os.path.exists(out)
+
+    def test_six_training_rows_train(self, tmp_path):
+        cfg_path = tmp_path / "six.cfg"
+        cfg_path.write_text(FEW_ROWS_CONFIG.format(method="NCAI", sizes="[6, 4, 4]"))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+    def test_too_few_csv_training_rows_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        splits = _csv_splits(tmp_path)
+        (tmp_path / "train.csv").write_text("x0,y0\n" + "".join(f"{i},{i}\n" for i in range(5)))
+        cfg_path = tmp_path / "csv.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in splits.items()))
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith(f"train_csv {splits['train_csv']} gives 5 training rows")
+        assert not os.path.exists(out)
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.cfg"),
@@ -848,6 +895,15 @@ def test_degenerate_demo_parameters_are_config_errors(tmp_path, capsys, monkeypa
 
 
 class TestGrid:
+    def test_too_few_training_rows_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(FEW_ROWS_CONFIG.format(method="NCAI", sizes="[5, 4, 4]")
+                            + "lambda2 = [0, 10]\n")
+        out = tmp_path / "gr"
+        code = main(["grid", "--config", str(cfg_path), "--out", str(out)])
+        _assert_config_error(code, capsys, out)
+
     def test_sweep_and_selection(self, tmp_path):
         cfg_path = tmp_path / "grid.cfg"
         cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + "lambda2 = [0, 10]\n")

@@ -513,3 +513,23 @@ class TestForkMap:
         ran = {int(p.name) for p in tmp_path.iterdir()}
         assert 1 in ran
         assert ran.isdisjoint({2, 4, 6, 7})
+
+    def test_worker_failure_stops_the_callers_later_indices(self, cpus, tmp_path):
+        # the worker fails at index 1 while the caller is still busy with
+        # index 0; the caller collects index 1 before it would start index 2,
+        # so neither 2 nor 4 runs
+        cpus(2)
+
+        def job(i):
+            if i == 1:
+                raise RuntimeError("worker")
+            if i == 0:
+                time.sleep(0.3)
+            (tmp_path / str(i)).touch()
+
+        with pytest.raises(RuntimeError, match="worker"):
+            fork_map(job, 6)
+        assert multiprocessing.active_children() == []
+        ran = {int(p.name) for p in tmp_path.iterdir()}
+        assert 0 in ran
+        assert ran.isdisjoint({1, 2, 4})
