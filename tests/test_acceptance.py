@@ -145,12 +145,12 @@ def test_c03_map_overfits_past_ground_truth():
     opt = TrainConfig(epochs=3000, restarts=1, learning_rate=0.01)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(0).spawn(10)]
 
-    def log_joint(i):
+    def random_start(i):
         return map_estimate(
             data, priors, data.gt_arch, init="random", opt_cfg=opt, seed=seeds[i],
         ).log_joint
 
-    best = max(fork_map(log_joint, len(seeds)))
+    best = max(fork_map(random_start, len(seeds)))
     assert best - gt_lj >= 100.0
     assert time.time() - start < 600.0
 
