@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 import typing
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -30,13 +30,14 @@ from .diffcore import Architecture
 from .exceptions import ConfigError, CsvParseError, DivergenceError
 # avg_marginal_ll is unused here; the benchmark's tracer patches bnnlv.cli.avg_marginal_ll
 from .metrics import (  # noqa: F401
-    avg_marginal_ll, check_interval_samples, compute_report, uncertainty_decomposition,
+    MetricsReport, avg_marginal_ll, check_interval_samples, compute_report,
+    uncertainty_decomposition,
 )
 from .model import FixedFunction, PriorConfig, predictive_sample_matrix
 from .ncai import NcaiConfig, map_estimate
 from .nonident import bias_probability
 from .train import METHODS, TrainConfig, fork_map, train_restarts
-from .vi import MeanFieldPosterior
+from .vi import BLOCKS, MeanFieldPosterior
 
 # ---------------------------------------------------------------------------
 # config files
@@ -235,28 +236,30 @@ def _write_manifest(out_dir, command, config, seed):
 # ---------------------------------------------------------------------------
 # result schemas
 
-_NUM_OR_NULL = {"type": ["number", "null"]}
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string",
+               type(None): "null"}
 
-METRICS_SCHEMA = {
-    "type": "object",
-    "required": ["method", "avg_marginal_ll", "rmse", "picp", "mpiw"],
-    "properties": {
-        "method": {"type": "string"},
-        "avg_marginal_ll": {"type": "number"},
-        "rmse": {"type": "number"},
-        "picp": {"type": "number"},
-        "mpiw": {"type": "number"},
-        "recon_mse": _NUM_OR_NULL,
-        "mi_x_z": _NUM_OR_NULL,
-        "mi_y_z": _NUM_OR_NULL,
-        "pc_x_z": _NUM_OR_NULL,
-        "pc_y_z": _NUM_OR_NULL,
-        "hz_mu_z": _NUM_OR_NULL,
-        "ks_z_prior": _NUM_OR_NULL,
-        "js_z_prior": _NUM_OR_NULL,
-    },
-    "additionalProperties": False,
-}
+
+def _json_type(hint):
+    if typing.get_origin(hint) is tuple:  # tuple[int, ...]
+        return {"type": "array", "items": _json_type(typing.get_args(hint)[0])}
+    if typing.get_args(hint):  # float | None
+        return {"type": [_JSON_TYPES[h] for h in typing.get_args(hint)]}
+    return {"type": _JSON_TYPES[hint]}
+
+
+def _fields_schema(cls):
+    """An object of ``cls``'s dataclass fields only, each of its JSON type; the
+    fields without a default are required."""
+    hints = typing.get_type_hints(cls)
+    props = {f.name: _json_type(hints[f.name]) for f in fields(cls)}
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    return {"type": "object", "properties": props, "required": required,
+            "additionalProperties": False}
+
+
+METRICS_SCHEMA = _fields_schema(MetricsReport)
 
 RESULT_SCHEMA = {
     "type": "object",
@@ -266,10 +269,8 @@ RESULT_SCHEMA = {
         "dataset": {"type": ["string", "null"]},
         "seed": {"type": "integer"},
         "best_restart": {"type": "integer"},
-        "priors": {
-            "type": "object",
-            "required": ["sigma2_w", "sigma2_z", "sigma2_eps"],
-        },
+        "priors": {**_fields_schema(PriorConfig),  # result.json writes every field
+                   "required": [f.name for f in fields(PriorConfig)]},
         "metrics": METRICS_SCHEMA,
         "version": {"type": "string"},
         "val_avg_marginal_ll": {"type": "number"},
@@ -293,22 +294,8 @@ RESULT_SCHEMA = {
 }
 
 
-def _json_type(hint):
-    if typing.get_origin(hint) is tuple:  # tuple[int, ...]
-        return {"type": "array", "items": _json_type(typing.get_args(hint)[0])}
-    return {"type": {int: "integer", float: "number", bool: "boolean"}[hint]}
-
-
-def _fields_schema(cls):
-    """An object of ``cls``'s dataclass fields only, each of its JSON type."""
-    hints = typing.get_type_hints(cls)
-    props = {f.name: _json_type(hints[f.name]) for f in fields(cls)}
-    return {"type": "object", "properties": props, "additionalProperties": False}
-
-
 # keys and scalar types only: a schema that walked every weight would take
 # longer than the rest of loading a large model; from_dict checks the blocks
-_BLOCKS = ("mu_w", "rho_w", "mu_z", "rho_z")
 MODEL_SCHEMA = {
     "type": "object",
     "required": ["posterior", "priors"],
@@ -316,9 +303,9 @@ MODEL_SCHEMA = {
         "method": {"enum": list(METHODS)},
         "posterior": {
             "type": "object",
-            "required": ["arch", *_BLOCKS],
-            "properties": {"arch": {**_fields_schema(Architecture), "required": ["input_dim_x"]},
-                           **dict.fromkeys(_BLOCKS, {"type": "array"})},
+            "required": ["arch", *BLOCKS],
+            "properties": {"arch": _fields_schema(Architecture),
+                           **dict.fromkeys(BLOCKS, {"type": "array"})},
         },
         "priors": _fields_schema(PriorConfig),
     },
@@ -350,21 +337,9 @@ def _require(cfg, key, default=None):
     return val
 
 
-def _merge_splits(tr, va, te):
-    x = np.concatenate([tr.x, va.x, te.x], axis=0)
-    y = np.concatenate([tr.y, va.y, te.y], axis=0)
-    n_tr, n_va = tr.n, va.n
-    return DataSet(
-        x=x,
-        y=y,
-        train_idx=np.arange(n_tr),
-        val_idx=np.arange(n_tr, n_tr + n_va),
-        test_idx=np.arange(n_tr + n_va, x.shape[0]),
-        name=tr.name,
-    )
-
-
 def build_dataset(cfg, seed):
+    if cfg.get("data_seed", 0) < 0:
+        raise ConfigError(f"data_seed must be >= 0, got {cfg['data_seed']}")
     if "dataset" in cfg:
         data = gen_synthetic(
             cfg["dataset"],
@@ -378,7 +353,7 @@ def build_dataset(cfg, seed):
             load_csv(_require(cfg, key), n_targets)
             for key in ("train_csv", "val_csv", "test_csv")
         ]
-        data = _merge_splits(*parts)
+        data = DataSet.stacked(*parts)
     else:
         raise ConfigError("config needs either dataset= or train_csv=/val_csv=/test_csv=")
     if cfg.get("standardize", False):
@@ -850,6 +825,8 @@ def main(argv=None):
     if args.out is None:
         args.out = os.path.join("runs", args.command)
     try:
+        if args.seed < 0:  # every subcommand takes --seed
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, CsvParseError, FileNotFoundError) as e:
         return _fail(2, "config", str(e))

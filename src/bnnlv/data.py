@@ -17,6 +17,13 @@ from .diffcore import Architecture, mlp_forward
 from .exceptions import ConfigError, CsvParseError
 
 
+def _split_rows(n_train, n_val, n_test):
+    """``DataSet`` split fields for rows stacked as train, then val, then test."""
+    a, b = n_train, n_train + n_val
+    return {"train_idx": np.arange(a), "val_idx": np.arange(a, b),
+            "test_idx": np.arange(b, b + n_test)}
+
+
 @dataclass
 class DataSet:
     """Inputs, targets, split indices, and optional generative ground truth."""
@@ -85,11 +92,16 @@ class DataSet:
             self,
             x=self.x[idx],
             y=self.y[idx],
-            train_idx=np.arange(len(idx)),
-            val_idx=np.empty(0, dtype=np.intp),
-            test_idx=np.empty(0, dtype=np.intp),
+            **_split_rows(len(idx), 0, 0),
             z_true=None if self.z_true is None else self.z_true[idx],
         )
+
+    @classmethod
+    def stacked(cls, train, val, test):
+        """One data set holding the rows of three, as its train, val and test splits."""
+        parts = (train, val, test)
+        return cls(x=np.concatenate([p.x for p in parts]), y=np.concatenate([p.y for p in parts]),
+                   **_split_rows(*(p.n for p in parts)), name=train.name)
 
 
 def _heavy_tail_f(x, z):
@@ -208,12 +220,10 @@ def gen_synthetic(name, seed, sizes=None, distill=False, distill_epochs=4000):
             )
             f = mlp_forward(gt_arch, w_true, x, z)
         y = f + rng.normal(0.0, np.sqrt(sigma2_eps), size=(n, 1))
-        ds = DataSet(
+        return DataSet(
             x=x,
             y=y,
-            train_idx=np.arange(n_tr),
-            val_idx=np.arange(n_tr, n_tr + n_va),
-            test_idx=np.arange(n_tr + n_va, n),
+            **_split_rows(n_tr, n_va, n_te),
             name=name,
             z_true=z,
             w_true=w_true,
@@ -221,7 +231,6 @@ def gen_synthetic(name, seed, sizes=None, distill=False, distill_epochs=4000):
             sigma2_eps_true=sigma2_eps,
             sigma2_z_true=sigma2_z,
         )
-        return ds
 
     if name in ("goldberg", "yuan", "williams"):
         if distill:
@@ -231,20 +240,15 @@ def gen_synthetic(name, seed, sizes=None, distill=False, distill_epochs=4000):
         x = _sample_x(name, n, rng)
         var = _noise_variance(name, x)
         y = _mean_function(name, x) + rng.standard_normal((n, 1)) * np.sqrt(var)
-        return DataSet(
-            x=x,
-            y=y,
-            train_idx=np.arange(n_tr),
-            val_idx=np.arange(n_tr, n_tr + n_va),
-            test_idx=np.arange(n_tr + n_va, n),
-            name=name,
-        )
+        return DataSet(x=x, y=y, **_split_rows(n_tr, n_va, n_te), name=name)
 
     raise ConfigError(f"unknown dataset {name!r}; choose one of {DATASET_NAMES}")
 
 
 def load_csv(path, n_targets=1):
     """Load a numeric CSV with a header row; the last ``n_targets`` columns are y."""
+    if n_targets < 1:
+        raise ConfigError(f"n_targets must be >= 1, got {n_targets}")
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -271,15 +275,8 @@ def load_csv(path, n_targets=1):
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
     mat = np.array(rows, dtype=np.float64)
-    n = mat.shape[0]
-    return DataSet(
-        x=mat[:, :-n_targets],
-        y=mat[:, -n_targets:],
-        train_idx=np.arange(n),
-        val_idx=np.empty(0, dtype=np.intp),
-        test_idx=np.empty(0, dtype=np.intp),
-        name=str(path),
-    )
+    return DataSet(x=mat[:, :-n_targets], y=mat[:, -n_targets:], **_split_rows(len(mat), 0, 0),
+                   name=str(path))
 
 
 def standardize(data):

@@ -44,6 +44,8 @@ class TrainConfig:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.n_mc < 1:
             raise ConfigError(f"n_mc must be >= 1, got {self.n_mc}")
+        if self.warm_epochs < 0:  # 0 is a warm start with no fit
+            raise ConfigError(f"warm_epochs must be >= 0, got {self.warm_epochs}")
         if self.init not in ("auto", "random", "warm", "ground_truth", "map"):
             raise ConfigError(f"unknown init scheme {self.init!r}")
         if self.convergence_window < 1:
@@ -144,17 +146,7 @@ def eb_update_sz(mu_z, var_z, alpha, beta):
     """
     mu_z = np.atleast_2d(np.asarray(mu_z, dtype=np.float64))
     var_z = np.atleast_2d(np.asarray(var_z, dtype=np.float64))
-    if mu_z.shape != var_z.shape:
-        raise ValueError("mu_z and var_z must have matching shapes")
-    if np.any(var_z < 0.0):
-        raise ValueError("var_z must be non-negative")
-    n, k = mu_z.shape
-    if n < 1 or k < 1:
-        raise ValueError("latent block must be non-empty")
-    if k + 2.0 * alpha - 2.0 <= 0.0:
-        raise ValueError("alpha too small for a defined update")
-    stat = float(np.sum(var_z + mu_z * mu_z) / n)
-    return (2.0 * beta + stat) / (k + 2.0 * alpha - 2.0)
+    return _eb_variance(mu_z, var_z, "z", alpha, beta)
 
 
 def eb_update_sw(mu_w, var_w, alpha, beta):
@@ -163,19 +155,26 @@ def eb_update_sw(mu_w, var_w, alpha, beta):
     s* = (2 beta + sum_i (var + mu^2)) / (H + 2 alpha - 2) with H the
     total number of weights.
     """
-    mu_w = np.asarray(mu_w, dtype=np.float64).ravel()
-    var_w = np.asarray(var_w, dtype=np.float64).ravel()
-    if mu_w.shape != var_w.shape:
-        raise ValueError("mu_w and var_w must have matching shapes")
-    if np.any(var_w < 0.0):
-        raise ValueError("var_w must be non-negative")
-    h = mu_w.size
-    if h < 1:
-        raise ValueError("weight block must be non-empty")
-    if h + 2.0 * alpha - 2.0 <= 0.0:
+    # one row of all H weights
+    mu_w = np.asarray(mu_w, dtype=np.float64).reshape(1, -1)
+    var_w = np.asarray(var_w, dtype=np.float64).reshape(1, -1)
+    return _eb_variance(mu_w, var_w, "w", alpha, beta)
+
+
+def _eb_variance(mu, var, block, alpha, beta):
+    """(2 beta + mean over rows of sum(var + mu^2)) / (dim + 2 alpha - 2) for
+    (rows, dim) moments of ``block`` "w" or "z": both closed-form refreshes."""
+    if mu.shape != var.shape:
+        raise ValueError(f"mu_{block} and var_{block} must have matching shapes")
+    if np.any(var < 0.0):
+        raise ValueError(f"var_{block} must be non-negative")
+    rows, dim = mu.shape
+    if rows < 1 or dim < 1:
+        raise ValueError(f"{'weight' if block == 'w' else 'latent'} block must be non-empty")
+    if dim + 2.0 * alpha - 2.0 <= 0.0:
         raise ValueError("alpha too small for a defined update")
-    stat = float(np.sum(var_w + mu_w * mu_w))
-    return (2.0 * beta + stat) / (h + 2.0 * alpha - 2.0)
+    stat = float(np.sum(var + mu * mu) / rows)
+    return (2.0 * beta + stat) / (dim + 2.0 * alpha - 2.0)
 
 
 class TrainHistory:
@@ -269,7 +268,7 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
     # a start from fitted or generative means first fits only the scales
     phases = ["variance", "joint"] if scheme in ("ground_truth", "map") else ["joint"]
 
-    blocks = dict(zip(("mu_w", "rho_w", "mu_z", "rho_z"), q.params()))
+    blocks = dict(zip(vi_mod.BLOCKS, q.params()))
 
     def objective(leaves):
         nonlocal priors
@@ -289,7 +288,8 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
         return obj
 
     for phase in phases:
-        trainable = ("rho_w", "rho_z") if phase == "variance" else tuple(blocks)
+        # a variance phase trains the scale blocks, rho_w and rho_z
+        trainable = vi_mod.BLOCKS[1::2] if phase == "variance" else vi_mod.BLOCKS
         stepped = {k: blocks[k] for k in trainable}
         optimize(objective, stepped, train_cfg, train_cfg.epochs)
         blocks.update(stepped)

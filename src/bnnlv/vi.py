@@ -18,6 +18,9 @@ from .model import log_likelihood
 
 _LOGPDF_CHUNK = 64  # rows of points aggregated_posterior_logpdf scores at once
 
+# the variational parameter blocks, in the order of MeanFieldPosterior.params()
+BLOCKS = ("mu_w", "rho_w", "mu_z", "rho_z")
+
 
 @dataclass
 class MeanFieldPosterior:
@@ -74,16 +77,10 @@ class MeanFieldPosterior:
         return lambda x, z=None: dc.mlp_forward(arch, w, x, z)
 
     def params(self):
-        return [self.mu_w, self.rho_w, self.mu_z, self.rho_z]
+        return [getattr(self, b) for b in BLOCKS]
 
     def to_dict(self):
-        return {
-            "arch": asdict(self.arch),
-            "mu_w": self.mu_w.tolist(),
-            "rho_w": self.rho_w.tolist(),
-            "mu_z": self.mu_z.tolist(),
-            "rho_z": self.rho_z.tolist(),
-        }
+        return {"arch": asdict(self.arch), **{b: getattr(self, b).tolist() for b in BLOCKS}}
 
     @classmethod
     def from_dict(cls, d):
@@ -97,7 +94,7 @@ class MeanFieldPosterior:
         # one row per training point, also when the rows are empty (no latent inputs)
         n = len(d["mu_z"])
         blocks = {}
-        for name, shape in (("mu_w", (p,)), ("rho_w", (p,)), ("mu_z", (n, k)), ("rho_z", (n, k))):
+        for name, shape in zip(BLOCKS, ((p,), (p,), (n, k), (n, k))):
             try:
                 block = np.asarray(d[name], dtype=np.float64)
             except (TypeError, ValueError):
@@ -197,12 +194,7 @@ def elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
 
 
 def _leaves_of(q):
-    return {
-        "mu_w": dc.leaf(q.mu_w),
-        "rho_w": dc.leaf(q.rho_w),
-        "mu_z": dc.leaf(q.mu_z),
-        "rho_z": dc.leaf(q.rho_z),
-    }
+    return {b: dc.leaf(v) for b, v in zip(BLOCKS, q.params())}
 
 
 def elbo(q, data, priors, n_mc=64, seed=0):

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import json
 import multiprocessing
@@ -15,6 +16,7 @@ import bnnlv
 from bnnlv import cli
 from bnnlv.cli import (
     GAPS_SCHEMA,
+    METRICS_SCHEMA,
     MODEL_SCHEMA,
     RESULT_SCHEMA,
     _write_csv,
@@ -25,9 +27,10 @@ from bnnlv.cli import (
     main,
     parse_config,
 )
+from bnnlv.data import gen_synthetic
 from bnnlv.diffcore import Architecture
 from bnnlv.exceptions import ConfigError, DivergenceError
-from bnnlv.metrics import avg_marginal_ll
+from bnnlv.metrics import avg_marginal_ll, compute_report
 from bnnlv.model import PriorConfig
 from bnnlv.ncai import NcaiConfig
 from bnnlv.train import TrainConfig
@@ -391,7 +394,7 @@ class TestTrain:
             "epochs = 1.5", "epochs = [2, 3]", "batch_size = 8", "data_seed = abc",
             "hidden = abc", "hidden = 0", "leaky_slope = 2", "latent_dim = -1",
             "sizes = [10, 5]", "sizes = [0, 20, 20]", "n_mc = 0", "n_mc = -1",
-            "warm_epochs = none", "eb_z = null",
+            "warm_epochs = none", "eb_z = null", "warm_epochs = -4",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch, line):
@@ -490,6 +493,24 @@ class TestTrain:
         assert err["message"].startswith(f"train_csv {splits['train_csv']} gives 5 training rows")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("n_targets", [0, -1])
+    def test_n_targets_below_one_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 n_targets):
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        rows = "x0,x1,y0\n" + "".join(f"{i / 10},{i % 3},{i % 5}\n" for i in range(12))
+        cfg = {"n_targets": n_targets}
+        for split in ("train", "val", "test"):
+            (tmp_path / f"{split}.csv").write_text(rows)
+            cfg[f"{split}_csv"] = str(tmp_path / f"{split}.csv")
+        cfg_path = tmp_path / "targets.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": f"n_targets must be >= 1, got {n_targets}"}
+        assert not os.path.exists(out)
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -538,6 +559,47 @@ class TestTrain:
         assert lines[0] == lines[1]
         assert json.loads(lines[1]) == {
             "error": "divergence", "message": "non-finite gradient in block mu_z at epoch 2"}
+
+
+@pytest.fixture(scope="module")
+def ncai_result(tmp_path_factory):
+    """The result.json of a small NCAI training run."""
+    out = _run_train(tmp_path_factory.mktemp("schema"), "NCAI", "run")
+    with open(os.path.join(out, "result.json")) as fh:
+        return json.load(fh)
+
+
+class TestResultSchemas:
+    def test_real_outputs_validate(self, ncai_result):
+        jsonschema.validate(ncai_result, RESULT_SCHEMA)
+        jsonschema.validate(ncai_result["metrics"], METRICS_SCHEMA)
+        # a report without a latent block holds nulls
+        arch = Architecture(input_dim_x=1, hidden_layers=(5,))
+        data = gen_synthetic("heavy_tail", 0, sizes=(25, 8, 8))
+        report = compute_report(random_init(arch, 25, seed=0), data, PriorConfig(),
+                                method="BNN", s=200).to_dict()
+        assert report["hz_mu_z"] is None
+        jsonschema.validate(report, METRICS_SCHEMA)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("rmse"),
+        lambda m: m.update(sharpness=1.0),
+        lambda m: m.update(avg_marginal_ll=None),
+        lambda m: m.update(mi_x_z="x"),
+    ], ids=["no-rmse", "extra-key", "null-avg-ll", "string-mi"])
+    def test_bad_metrics_are_rejected(self, ncai_result, edit):
+        result = copy.deepcopy(ncai_result)
+        edit(result["metrics"])
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(result["metrics"], METRICS_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(result, RESULT_SCHEMA)
+
+    def test_result_priors_need_sigma2_eps(self, ncai_result):
+        result = copy.deepcopy(ncai_result)
+        del result["priors"]["sigma2_eps"]
+        with pytest.raises(jsonschema.ValidationError, match="sigma2_eps"):
+            jsonschema.validate(result, RESULT_SCHEMA)
 
 
 class TestEvaluate:
@@ -892,6 +954,36 @@ def test_degenerate_demo_parameters_are_config_errors(tmp_path, capsys, monkeypa
     out = tmp_path / "demo"
     code = main(argv + ["--out", str(out)])
     _assert_config_error(code, capsys, out)
+
+
+# every subcommand's seed, and a config's data_seed, is checked before any work
+@pytest.mark.parametrize("argv, line, key", [
+    (["gen-data", "--name", "depeweg", "--seed", "-1"], "", "--seed"),
+    (["train", "--seed", "-2"], "", "--seed"),
+    (["evaluate", "--model", "model.json", "--dataset", "depeweg", "--seed", "-1"], "", "--seed"),
+    (["nonident-demo", "--transform", "node", "--seed", "-5"], "", "--seed"),
+    (["map-demo", "--seed", "-1"], "", "--seed"),
+    (["decompose", "--dataset", "depeweg", "--seed", "-1"], "", "--seed"),
+    (["grid", "--seed", "-1"], "", "--seed"),
+    (["train"], "data_seed = -3", "data_seed"),
+    (["grid"], "data_seed = -3", "data_seed"),
+], ids=["gen-data", "train", "evaluate", "nonident-demo", "map-demo", "decompose", "grid",
+        "train-data_seed", "grid-data_seed"])
+def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, argv, line, key):
+    for name in ("gen_synthetic", "_load_model", "bias_probability", "uncertainty_decomposition",
+                 "train_restarts"):
+        monkeypatch.setattr(f"bnnlv.cli.{name}", _fails_if_called)
+    if argv[0] in ("train", "grid"):
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + line + "\n")
+        argv = [*argv, "--config", str(cfg_path)]
+    out = tmp_path / "o"
+    code = main([*argv, "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"{key} must be >= 0, got -")
+    assert not os.path.exists(out)
 
 
 class TestGrid:

@@ -148,6 +148,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="n_mc"):
             TrainConfig(n_mc=n_mc)
 
+    @pytest.mark.parametrize("warm_epochs", [-1, -3])
+    def test_rejects_negative_warm_epochs(self, warm_epochs):
+        with pytest.raises(ConfigError, match="warm_epochs must be >= 0"):
+            TrainConfig(warm_epochs=warm_epochs)
+
+    def test_zero_warm_epochs_is_allowed(self):
+        assert TrainConfig(warm_epochs=0).warm_epochs == 0
+
 
 class TestEbUpdates:
     def test_sz_worked_example(self):
