@@ -4,7 +4,8 @@ hyperparameter sweeps.
 
 Configs are flat ``key = value`` text; list values in square brackets
 spell out sweep grids. Every command writes its outputs atomically and
-drops a manifest recording the exact config, seed, and package version.
+returns its manifest config and its summary line; ``main`` writes the
+manifest (the exact config, seed, and package version) and prints the line.
 Exit codes: 0 success, 2 bad config or data, 3 numerical divergence.
 """
 from __future__ import annotations
@@ -49,6 +50,13 @@ CLI_KEYS = {
     "distill": bool, "standardize": bool,
     "train_csv": str, "val_csv": str, "test_csv": str, "n_targets": int,
     "hidden": list[int], "latent_dim": int, "s_eval": int,
+}
+
+# each data source's keys, the naming key first; a config names one source
+# and holds no key of the other
+DATA_SOURCES = {
+    "dataset": ("dataset", "sizes", "data_seed", "distill"),
+    "train_csv": ("train_csv", "val_csv", "test_csv", "n_targets"),
 }
 
 # the CLI's departures from the library defaults; build_experiment also
@@ -308,6 +316,7 @@ MODEL_SCHEMA = {
                            **dict.fromkeys(BLOCKS, {"type": "array"})},
         },
         "priors": _fields_schema(PriorConfig),
+        "standardize": {"type": "boolean"},  # written only as true
     },
 }
 
@@ -337,25 +346,35 @@ def _require(cfg, key, default=None):
     return val
 
 
+def _data_source(cfg):
+    """The DATA_SOURCES key ``cfg`` reads its data from, else ConfigError naming
+    the first key of the other source that it also holds."""
+    source = next((s for s in DATA_SOURCES if s in cfg), None)
+    if source is None:
+        raise ConfigError("config needs either dataset= or train_csv=/val_csv=/test_csv=")
+    stray = [k for s, keys in DATA_SOURCES.items() if s != source for k in keys if k in cfg]
+    if stray:
+        sources = " or ".join("/".join(keys) for keys in DATA_SOURCES.values())
+        raise ConfigError(f"{stray[0]} does not apply to {source} = {cfg[source]}: a config "
+                          f"takes the keys of one data source, {sources}")
+    return source
+
+
 def build_dataset(cfg, seed):
+    source = _data_source(cfg)
     if cfg.get("data_seed", 0) < 0:
         raise ConfigError(f"data_seed must be >= 0, got {cfg['data_seed']}")
-    if "dataset" in cfg:
+    if source == "dataset":
         data = gen_synthetic(
             cfg["dataset"],
             seed=cfg.get("data_seed", seed),
             sizes=parse_sizes(cfg["sizes"]) if "sizes" in cfg else None,
             distill=cfg.get("distill", False),
         )
-    elif "train_csv" in cfg:
-        n_targets = cfg.get("n_targets", 1)
-        parts = [
-            load_csv(_require(cfg, key), n_targets)
-            for key in ("train_csv", "val_csv", "test_csv")
-        ]
-        data = DataSet.stacked(*parts)
     else:
-        raise ConfigError("config needs either dataset= or train_csv=/val_csv=/test_csv=")
+        parts = [load_csv(_require(cfg, key), cfg.get("n_targets", 1))
+                 for key in DATA_SOURCES[source] if key.endswith("_csv")]
+        data = DataSet.stacked(*parts)
     if cfg.get("standardize", False):
         data = standardize(data)
     return data
@@ -435,10 +454,10 @@ def _run_training(cfg, seed, out_dir):
     _write_json(os.path.join(out_dir, "result.json"), result, schema=RESULT_SCHEMA)
     hist = histories[best]
     _write_csv(os.path.join(out_dir, "history.csv"), hist.COLUMNS, hist.rows())
-    _write_json(
-        os.path.join(out_dir, "model.json"),
-        {"method": method, "posterior": q.to_dict(), "priors": asdict(fin_priors)},
-    )
+    model = {"method": method, "posterior": q.to_dict(), "priors": asdict(fin_priors)}
+    if data.standardized:  # evaluate then z-scores its data as training did
+        model["standardize"] = True
+    _write_json(os.path.join(out_dir, "model.json"), model)
     if data.input_dim == 1 and data.output_dim == 1:
         _write_predictive_grid(out_dir, q, fin_priors, data, s=max(200, min(s_eval, 500)))
     if arch.input_dim_z > 0:
@@ -496,14 +515,8 @@ def cmd_gen_data(args):
                 "sigma2_z": data.sigma2_z_true,
             },
         )
-    config = {
-        "name": args.name,
-        "sizes": list(sizes) if sizes else None,
-        "distill": args.distill,
-    }
-    _write_manifest(out, "gen-data", config, args.seed)
-    print(json.dumps({"out": out, "n": data.n}))
-    return 0
+    config = {"name": args.name, "sizes": list(sizes) if sizes else None, "distill": args.distill}
+    return config, {"out": out, "n": data.n}
 
 
 def cmd_train(args):
@@ -511,22 +524,14 @@ def cmd_train(args):
     for key in GRID_KEYS:
         if isinstance(cfg.get(key), list):
             raise ConfigError(f"{key} is a list; sweeps run through the grid subcommand")
-    result = _run_training(cfg, args.seed, args.out)
-    _write_manifest(args.out, "train", cfg, args.seed)
-    print(
-        json.dumps(
-            {
-                "out": args.out,
-                "avg_marginal_ll": result["metrics"]["avg_marginal_ll"],
-                "rmse": result["metrics"]["rmse"],
-            }
-        )
-    )
-    return 0
+    metrics = _run_training(cfg, args.seed, args.out)["metrics"]
+    return cfg, {"out": args.out, "avg_marginal_ll": metrics["avg_marginal_ll"],
+                 "rmse": metrics["rmse"]}
 
 
 def _load_model(path):
-    """(posterior, priors, method) from a model.json, else ConfigError naming the key."""
+    """(posterior, priors, method, standardized) from a model.json, else
+    ConfigError naming the key."""
     with open(path) as fh:
         try:
             blob = json.load(fh)
@@ -546,32 +551,24 @@ def _load_model(path):
         raise ConfigError(f"{path}: {where}: {e.message}") from None
     q = MeanFieldPosterior.from_dict(blob["posterior"])
     priors = PriorConfig(**blob["priors"])
-    return q, priors, blob.get("method", "NCAI")
+    return q, priors, blob.get("method", "NCAI"), blob.get("standardize", False)
 
 
 def cmd_evaluate(args):
     check_interval_samples(args.samples)
-    if args.dataset and any((args.train_csv, args.val_csv, args.test_csv)):
-        raise ConfigError("evaluate takes --dataset or the --*-csv splits, not both")
-    if args.sizes and not args.dataset:
-        raise ConfigError("--sizes applies only to --dataset")
-    sizes = parse_sizes(args.sizes) if args.sizes else None
-    q, priors, method = _load_model(args.model)
-    if args.dataset:
-        cfg = {"dataset": args.dataset}
-        if sizes:
-            cfg["sizes"] = list(sizes)
-    else:
-        cfg = {
-            "train_csv": args.train_csv, "val_csv": args.val_csv, "test_csv": args.test_csv,
-        }
+    # the data flags are named as their config keys
+    cfg = {k: v for keys in DATA_SOURCES.values() for k in keys
+           if (v := getattr(args, k, None)) is not None}
+    if "sizes" in cfg:
+        cfg["sizes"] = list(parse_sizes(cfg["sizes"]))
+    _data_source(cfg)  # a mix of sources fails before the model loads
+    q, priors, method, standardized = _load_model(args.model)
+    if standardized:
+        cfg["standardize"] = True
     data = build_dataset(cfg, args.seed)
     report = compute_report(q, data, priors, method=method, s=args.samples, seed=args.seed)
     _write_json(os.path.join(args.out, "metrics.json"), report.to_dict(), schema=METRICS_SCHEMA)
-    config = {"model": args.model, **cfg, "samples": args.samples}
-    _write_manifest(args.out, "evaluate", config, args.seed)
-    print(json.dumps(report.to_dict()))
-    return 0
+    return {"model": args.model, **cfg, "samples": args.samples}, report.to_dict()
 
 
 # each transform's own nonident-demo flags, with the value a flag left out takes
@@ -605,9 +602,7 @@ def cmd_nonident_demo(args):
         "mu_x": args.mu_x, "sigma2_x": args.sigma2_x,
         "sigma2_z": args.sigma2_z, "sigma2_w": args.sigma2_w,
     }
-    _write_manifest(args.out, "nonident-demo", config, args.seed)
-    print(json.dumps(out_obj["records"]))
-    return 0
+    return config, records
 
 
 def cmd_map_demo(args):
@@ -644,9 +639,7 @@ def cmd_map_demo(args):
         "epochs": args.epochs, "learning_rate": args.learning_rate,
         "sigma2_w": args.sigma2_w,
     }
-    _write_manifest(args.out, "map-demo", config, args.seed)
-    print(json.dumps({"best_random": out_obj["best_random"], "gap": out_obj["gap"]}))
-    return 0
+    return config, {"best_random": out_obj["best_random"], "gap": out_obj["gap"]}
 
 
 def _parse_grid_spec(spec):
@@ -667,7 +660,10 @@ def cmd_decompose(args):
     if bool(args.model) == bool(args.dataset):
         raise ConfigError("decompose needs exactly one of --model and --dataset")
     if args.model:
-        q_w, priors, _ = _load_model(args.model)
+        q_w, priors, _, standardized = _load_model(args.model)
+        if standardized:
+            raise ConfigError(f"{args.model} was trained on standardized data; --x-grid "
+                              "is in raw units")
     else:
         sigma2_eps, sigma2_z, _ = LATENT_SPECS[args.dataset]
         q_w = FixedFunction(ground_truth_fn(args.dataset), input_dim_z=1, output_dim=1)
@@ -688,9 +684,7 @@ def cmd_decompose(args):
         "model": args.model, "dataset": args.dataset, "x_grid": args.x_grid,
         "s_w": args.s_w, "s_inner": args.s_inner,
     }
-    _write_manifest(args.out, "decompose", config, args.seed)
-    print(json.dumps({"out": args.out, "points": len(rows)}))
-    return 0
+    return config, {"out": args.out, "points": len(rows)}
 
 
 def cmd_grid(args):
@@ -712,9 +706,7 @@ def cmd_grid(args):
     best = int(np.argmax([s["val_avg_marginal_ll"] for s in summaries]))
     out_obj = {"cells": summaries, "best": best, "best_config": summaries[best]["config"]}
     _write_json(os.path.join(args.out, "grid.json"), out_obj)
-    _write_manifest(args.out, "grid", cfg, args.seed)
-    print(json.dumps({"best": best, "best_config": summaries[best]["config"]}))
-    return 0
+    return cfg, {"best": best, "best_config": summaries[best]["config"]}
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +819,11 @@ def main(argv=None):
     try:
         if args.seed < 0:  # every subcommand takes --seed
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        # each command returns its manifest config and its one summary line
+        config, summary = args.func(args)
+        _write_manifest(args.out, args.command, config, args.seed)
+        print(json.dumps(summary))
+        return 0
     except (ConfigError, CsvParseError, FileNotFoundError) as e:
         return _fail(2, "config", str(e))
     except DivergenceError as e:

@@ -212,14 +212,7 @@ def objective_graph(arch, leaves, x, y, priors, cfg, n_mc, seed):
 
 def ncai_objective(q, data, priors, cfg, n_mc=64, seed=0):
     """Scalar value of the constrained objective on the training split."""
-    view = data.view("train")
-    if view.x.shape[0] != q.n_train:
-        raise ValueError(
-            f"posterior holds {q.n_train} latent rows but the train split has {view.x.shape[0]}"
-        )
-    node, _ = objective_graph(
-        q.arch, vi_mod._leaves_of(q), view.x, view.y, priors, cfg, n_mc, seed
-    )
+    node, _ = objective_graph(*vi_mod._train_inputs(q, data), priors, cfg, n_mc, seed)
     return float(dc._val(node))
 
 

@@ -197,14 +197,20 @@ def _leaves_of(q):
     return {b: dc.leaf(v) for b, v in zip(BLOCKS, q.params())}
 
 
-def elbo(q, data, priors, n_mc=64, seed=0):
-    """Monte Carlo ELBO of the training split of ``data`` under posterior ``q``."""
+def _train_inputs(q, data):
+    """(arch, leaves, x, y) of ``q`` on the training split of ``data``, the
+    leading arguments of ``elbo_graph`` and ``ncai.objective_graph``."""
     view = data.view("train")
     if view.x.shape[0] != q.n_train:
         raise ValueError(
             f"posterior holds {q.n_train} latent rows but the train split has {view.x.shape[0]}"
         )
-    node, _ = elbo_graph(q.arch, _leaves_of(q), view.x, view.y, priors, n_mc, seed)
+    return q.arch, _leaves_of(q), view.x, view.y
+
+
+def elbo(q, data, priors, n_mc=64, seed=0):
+    """Monte Carlo ELBO of the training split of ``data`` under posterior ``q``."""
+    node, _ = elbo_graph(*_train_inputs(q, data), priors, n_mc, seed)
     return float(dc._val(node))
 
 

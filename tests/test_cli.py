@@ -1,3 +1,4 @@
+import argparse
 import copy
 import importlib
 import json
@@ -23,6 +24,7 @@ from bnnlv.cli import (
     _write_json,
     _write_text_atomic,
     build_experiment,
+    build_parser,
     expand_grid,
     main,
     parse_config,
@@ -109,6 +111,16 @@ def _csv_splits(tmp_path):
         (tmp_path / f"{split}.csv").write_text(rows)
         cfg[f"{split}_csv"] = str(tmp_path / f"{split}.csv")
     return cfg
+
+
+def _latent_model(path, **extra):
+    """Write a random 25-row latent model.json to ``path``; return the path."""
+    arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
+    path.write_text(json.dumps({
+        "method": "NCAI", "posterior": random_init(arch, 25, seed=0).to_dict(),
+        "priors": {"sigma2_w": 1.0, "sigma2_z": 1.0, "sigma2_eps": 0.1}, **extra,
+    }))
+    return str(path)
 
 
 class TestBuildExperiment:
@@ -511,6 +523,30 @@ class TestTrain:
             "error": "config", "message": f"n_targets must be >= 1, got {n_targets}"}
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("lines, stray", [
+        ("dataset = depeweg\n{csv}", "train_csv"),
+        ("{csv}sizes = [12, 4, 4]\n", "sizes"),
+        ("dataset = depeweg\nn_targets = 1\n", "n_targets"),
+        ("{csv}data_seed = 3\n", "data_seed"),
+        ("{csv}distill = true\n", "distill"),
+    ], ids=["dataset-with-csvs", "csvs-with-sizes", "dataset-with-n_targets",
+            "csvs-with-data_seed", "csvs-with-distill"])
+    def test_mixed_data_sources_are_config_errors(self, tmp_path, capsys, monkeypatch,
+                                                  lines, stray):
+        # a key of the other source is refused, not dropped, before any data is read
+        for name in ("gen_synthetic", "load_csv", "train_restarts"):
+            monkeypatch.setattr(f"bnnlv.cli.{name}", _fails_if_called)
+        csv = "".join(f"{k} = {v}\n" for k, v in _csv_splits(tmp_path).items())
+        cfg_path = tmp_path / "mixed.cfg"
+        cfg_path.write_text("hidden = [5]\nepochs = 2\nrestarts = 1\n" + lines.format(csv=csv))
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"{stray} does not apply to ")
+        assert not os.path.exists(out)
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -716,6 +752,36 @@ class TestEvaluate:
         assert f"model block {block} " in err["message"]
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("source", ["dataset", "csv"])
+    @pytest.mark.parametrize("standardize", [False, True], ids=["plain", "standardized"])
+    def test_metrics_equal_the_training_report(self, tmp_path, source, standardize):
+        # evaluate rebuilds the training data, z-scored as training did, so a
+        # report at the run's seed and sample count repeats the run's own
+        if source == "dataset":
+            data_lines = "dataset = depeweg\nsizes = [30, 10, 10]\n"
+            data_flags = ["--dataset", "depeweg", "--sizes", "30,10,10"]
+        else:
+            assert main(["gen-data", "--name", "depeweg", "--sizes", "30,10,10",
+                         "--out", str(tmp_path / "data")]) == 0
+            splits = {s: str(tmp_path / "data" / f"{s}.csv") for s in ("train", "val", "test")}
+            data_lines = "".join(f"{s}_csv = {p}\n" for s, p in splits.items())
+            data_flags = [a for s, p in splits.items() for a in (f"--{s}-csv", p)]
+        cfg_path = tmp_path / "std.cfg"
+        cfg_path.write_text(data_lines + f"standardize = {str(standardize).lower()}\n"
+                            "hidden = [5]\nepochs = 20\nwarm_epochs = 20\nrestarts = 1\n"
+                            "s_eval = 100\n")
+        run = str(tmp_path / "run")
+        assert main(["train", "--config", str(cfg_path), "--seed", "4", "--out", run]) == 0
+        with open(os.path.join(run, "model.json")) as fh:
+            assert json.load(fh).get("standardize") == (True if standardize else None)
+        eval_out = str(tmp_path / "eval")
+        assert main(["evaluate", "--model", os.path.join(run, "model.json"), *data_flags,
+                     "--samples", "100", "--seed", "4", "--out", eval_out]) == 0
+        with open(os.path.join(run, "result.json")) as fh:
+            trained = json.load(fh)["metrics"]
+        with open(os.path.join(eval_out, "metrics.json")) as fh:
+            assert json.load(fh) == trained
+
     def test_latent_row_mismatch_is_config_error(self, tmp_path, capsys):
         out = _run_train(tmp_path, "NCAI", "base2")
         code = main(["evaluate", "--model", os.path.join(out, "model.json"),
@@ -885,6 +951,17 @@ class TestDecompose:
         code = main(["decompose", *flags, "--x-grid", "0:1:3", "--out", str(out)])
         _assert_config_error(code, capsys, out)
 
+    def test_standardized_model_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the model's inputs are z-scored, the --x-grid values are not
+        model = _latent_model(tmp_path / "model.json", standardize=True)
+        monkeypatch.setattr("bnnlv.cli.uncertainty_decomposition", _fails_if_called)
+        out = tmp_path / "dc"
+        code = main(["decompose", "--model", model, "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "standardized" in err["message"]
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize(
         "flag, value", [("--s-w", "0"), ("--s-inner", "3"), ("--s-inner", "5")]
     )
@@ -911,9 +988,10 @@ class TestDecompose:
     (lambda blob: blob["posterior"]["arch"].update(hidden_layers=[5.7]), "arch.hidden_layers.0"),
     (lambda blob: blob["posterior"]["arch"].update(hidden_layers=[5.0]), "arch.hidden_layers.0"),
     (lambda blob: blob["posterior"]["arch"].update(hidden_layers=["5"]), "arch.hidden_layers.0"),
+    (lambda blob: blob.update(standardize="true"), "standardize"),
 ], ids=["not-json", "no-posterior", "no-priors", "no-arch", "no-block", "arch-key",
         "priors-key", "input-dim-float", "output-dim-float", "hidden-fraction", "hidden-float",
-        "hidden-string"])
+        "hidden-string", "standardize-string"])
 @pytest.mark.parametrize("command", [
     ["evaluate", "--dataset", "heavy_tail", "--sizes", "25,8,8"], ["decompose"],
 ], ids=["evaluate", "decompose"])
@@ -996,6 +1074,19 @@ class TestGrid:
         code = main(["grid", "--config", str(cfg_path), "--out", str(out)])
         _assert_config_error(code, capsys, out)
 
+    def test_mixed_data_sources_are_config_error(self, tmp_path, capsys, monkeypatch):
+        for name in ("gen_synthetic", "load_csv", "train_restarts"):
+            monkeypatch.setattr(f"bnnlv.cli.{name}", _fails_if_called)
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + "lambda2 = [0, 10]\n"
+                            + "".join(f"{k} = {v}\n" for k, v in _csv_splits(tmp_path).items()))
+        out = tmp_path / "gr"
+        code = main(["grid", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["message"].startswith(
+            "train_csv does not apply to dataset = heavy_tail")
+        assert not os.path.exists(out)
+
     def test_sweep_and_selection(self, tmp_path):
         cfg_path = tmp_path / "grid.cfg"
         cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + "lambda2 = [0, 10]\n")
@@ -1018,6 +1109,49 @@ class TestGrid:
         out = tmp_path / "gr"
         code = main(["grid", "--config", str(cfg_path), "--out", str(out)])
         _assert_config_error(code, capsys, out)
+
+
+def _subcommands():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+def _config(tmp, extra):
+    path = tmp / "run.cfg"
+    path.write_text(FEW_ROWS_CONFIG.format(method="NCAI", sizes="[6, 4, 4]")
+                    + "warm_epochs = 5\ns_eval = 100\n" + extra)
+    return str(path)
+
+
+# one small run of each subcommand, without --out
+CONTRACT_ARGV = {
+    "gen-data": lambda tmp: ["--name", "yuan", "--sizes", "10,5,5"],
+    "train": lambda tmp: ["--config", _config(tmp, "")],
+    "grid": lambda tmp: ["--config", _config(tmp, "lambda2 = [0, 10]\n")],
+    "evaluate": lambda tmp: ["--model", _latent_model(tmp / "model.json"), "--dataset",
+                             "heavy_tail", "--sizes", "25,8,8", "--samples", "100"],
+    "nonident-demo": lambda tmp: ["--transform", "node", "--n", "10", "--trials", "2"],
+    "map-demo": lambda tmp: ["--epochs", "5", "--restarts", "1"],
+    "decompose": lambda tmp: ["--dataset", "bimodal", "--x-grid", "0:1:2", "--s-w", "2",
+                              "--s-inner", "50"],
+}
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_command_contract(tmp_path, capsys, command):
+    # every subcommand prints one JSON line and writes one manifest of the same shape
+    out = tmp_path / "out"
+    argv = [command, *CONTRACT_ARGV[command](tmp_path), "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("\n") and printed.count("\n") == 1
+    json.loads(printed)
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert set(manifest) == {"command", "config", "seed", "version"}
+    assert manifest["command"] == command
+    assert manifest["seed"] == 3
+    assert manifest["version"] == bnnlv.__version__
 
 
 def test_module_entry_point(tmp_path):
