@@ -59,6 +59,10 @@ DATA_SOURCES = {
     "train_csv": ("train_csv", "val_csv", "test_csv", "n_targets"),
 }
 
+# the data keys a run's model.json records, each only when the run set it
+# true, so that evaluate rebuilds the data as training did
+MODEL_DATA_KEYS = ("distill", "standardize")
+
 # the CLI's departures from the library defaults; build_experiment also
 # derives latent_dim from the method and the noise priors from the dataset
 CLI_DEFAULTS = {"method": "NCAI", "eb_w": True, "s_eval": 2000}
@@ -316,7 +320,7 @@ MODEL_SCHEMA = {
                            **dict.fromkeys(BLOCKS, {"type": "array"})},
         },
         "priors": _fields_schema(PriorConfig),
-        "standardize": {"type": "boolean"},  # written only as true
+        **dict.fromkeys(MODEL_DATA_KEYS, {"type": "boolean"}),
     },
 }
 
@@ -454,9 +458,8 @@ def _run_training(cfg, seed, out_dir):
     _write_json(os.path.join(out_dir, "result.json"), result, schema=RESULT_SCHEMA)
     hist = histories[best]
     _write_csv(os.path.join(out_dir, "history.csv"), hist.COLUMNS, hist.rows())
-    model = {"method": method, "posterior": q.to_dict(), "priors": asdict(fin_priors)}
-    if data.standardized:  # evaluate then z-scores its data as training did
-        model["standardize"] = True
+    model = {"method": method, "posterior": q.to_dict(), "priors": asdict(fin_priors),
+             **{k: True for k in MODEL_DATA_KEYS if cfg.get(k, False)}}
     _write_json(os.path.join(out_dir, "model.json"), model)
     if data.input_dim == 1 and data.output_dim == 1:
         _write_predictive_grid(out_dir, q, fin_priors, data, s=max(200, min(s_eval, 500)))
@@ -530,8 +533,8 @@ def cmd_train(args):
 
 
 def _load_model(path):
-    """(posterior, priors, method, standardized) from a model.json, else
-    ConfigError naming the key."""
+    """(posterior, priors, method, data record) from a model.json, else
+    ConfigError naming the key; the record holds its MODEL_DATA_KEYS."""
     with open(path) as fh:
         try:
             blob = json.load(fh)
@@ -551,7 +554,8 @@ def _load_model(path):
         raise ConfigError(f"{path}: {where}: {e.message}") from None
     q = MeanFieldPosterior.from_dict(blob["posterior"])
     priors = PriorConfig(**blob["priors"])
-    return q, priors, blob.get("method", "NCAI"), blob.get("standardize", False)
+    record = {k: True for k in MODEL_DATA_KEYS if blob.get(k, False)}
+    return q, priors, blob.get("method", "NCAI"), record
 
 
 def cmd_evaluate(args):
@@ -561,10 +565,10 @@ def cmd_evaluate(args):
            if (v := getattr(args, k, None)) is not None}
     if "sizes" in cfg:
         cfg["sizes"] = list(parse_sizes(cfg["sizes"]))
-    _data_source(cfg)  # a mix of sources fails before the model loads
-    q, priors, method, standardized = _load_model(args.model)
-    if standardized:
-        cfg["standardize"] = True
+    source = _data_source(cfg)  # a mix of sources fails before the model loads
+    q, priors, method, record = _load_model(args.model)
+    # a distilled run's CSVs hold its distilled targets already
+    cfg.update({k: v for k, v in record.items() if k != "distill" or source == "dataset"})
     data = build_dataset(cfg, args.seed)
     report = compute_report(q, data, priors, method=method, s=args.samples, seed=args.seed)
     _write_json(os.path.join(args.out, "metrics.json"), report.to_dict(), schema=METRICS_SCHEMA)
@@ -660,8 +664,8 @@ def cmd_decompose(args):
     if bool(args.model) == bool(args.dataset):
         raise ConfigError("decompose needs exactly one of --model and --dataset")
     if args.model:
-        q_w, priors, _, standardized = _load_model(args.model)
-        if standardized:
+        q_w, priors, _, record = _load_model(args.model)
+        if record.get("standardize"):
             raise ConfigError(f"{args.model} was trained on standardized data; --x-grid "
                               "is in raw units")
     else:

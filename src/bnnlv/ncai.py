@@ -27,7 +27,7 @@ from .model import log_joint
 _EXP_CAP = 150.0
 
 _HZ_RIDGE = 1e-6  # hz_statistic's covariance ridge, relative to the mean variance
-_HZ_CHUNK = 256  # rows of the pairwise kernel hz_statistic holds at once
+_HZ_CHUNK = 64  # rows of the pairwise kernel hz_statistic holds at once
 
 
 @dataclass
@@ -69,8 +69,10 @@ def hz_statistic(points):
     cluster, which happens at the start of training.
 
     One tape op with a hand-derived gradient. The N x N kernel
-    ``E = exp(-b^2/2 * d_jk)`` is built ``_HZ_CHUNK`` rows at a time and only
-    its row sums and ``E @ xc`` are kept, so memory is O(N * _HZ_CHUNK).
+    ``E = exp(-b^2/2 * d_jk)`` is built ``_HZ_CHUNK`` rows at a time, each
+    chunk as one matrix product with inner dimension p + 2 and one ``exp``,
+    and only its row sums and ``E @ xc`` are kept, so memory is
+    O(N * _HZ_CHUNK).
     """
     pv = dc._val(points)
     if pv.ndim != 2:
@@ -89,18 +91,21 @@ def hz_statistic(points):
     dj = np.sum(xc * t, axis=1)
 
     b2 = (((2 * p + 1) / 4.0) ** (1.0 / (p + 4)) * n ** (1.0 / (p + 4)) / np.sqrt(2.0)) ** 2
-    # one pass over row chunks of E = exp(-b2/2 * (d_j + d_k - 2 M_jk)), M = xc A xc^T;
-    # E @ [1, xc] gives the row sums and E @ xc in one product
+    # one pass over row chunks of E = exp(-b2/2 * (d_j + d_k - 2 M_jk)), M = xc A xc^T.
+    # With u = -b2/2 * d the exponent is b2 * t_j . xc_k + u_j + u_k, so a chunk's
+    # exponent is one product [b2 t, 1, u] @ [xc^T; u^T; 1], every entry <= ~0.
+    # (Factored as exp(u_j) exp(u_k) exp(b2 M_jk), an outlier row's exp(b2 M_jj)
+    # overflows to inf and its product with exp(u_j) = 0 is NaN.)
+    # E @ [1, xc] then gives the row sums and E @ xc in one product.
+    u = (-b2 / 2.0) * dj
+    left = np.hstack([b2 * t, np.ones((n, 1)), u[:, None]])
+    right = np.vstack([xc.T, u, np.ones(n)])
     ones_xc = np.hstack([np.ones((n, 1)), xc])
     e_ones_xc = np.empty((n, p + 1))
     buf = np.empty((min(_HZ_CHUNK, n), n))
     for lo in range(0, n, _HZ_CHUNK):
         hi = min(lo + _HZ_CHUNK, n)
-        blk = dc._matmul(t[lo:hi], xc.T, out=buf[: hi - lo])
-        blk *= -2.0
-        blk += dj[lo:hi, None]
-        blk += dj[None, :]
-        blk *= -b2 / 2.0
+        blk = np.matmul(left[lo:hi], right, out=buf[: hi - lo])
         np.exp(blk, out=blk)
         e_ones_xc[lo:hi] = blk @ ones_xc
     rowsum, ex = e_ones_xc[:, 0], e_ones_xc[:, 1:]
@@ -133,6 +138,10 @@ def offdiag_penalty(points):
     n, p = pv.shape
     if n < 2:
         raise ValueError(f"need at least 2 rows, got {n}")
+    if p == 1:
+        # an empty off-diagonal: the norm is exactly 0, and so is its gradient
+        # through sqrt's zero subgradient, so no tape node is built
+        return 0.0
     xc = dc.add(points, dc.neg(dc.mean_(points, axis=0, keepdims=True)))
     cov = dc.mul(dc.matmul(dc.transpose(xc), xc), 1.0 / (n - 1))
     off = dc.mul(cov, 1.0 - np.eye(p))
@@ -197,7 +206,8 @@ def objective_graph(arch, leaves, x, y, priors, cfg, n_mc, seed):
     if cfg.lambda2 > 0.0:
         off = offdiag_penalty(mu_z)
         parts["offdiag"] = off
-        obj = dc.add(obj, dc.mul(off, cfg.lambda2 * n))
+        if isinstance(off, dc.Node):  # else 0.0, at one latent column
+            obj = dc.add(obj, dc.mul(off, cfg.lambda2 * n))
     if cfg.lambda3 > 0.0:
         pc_x = pearson_penalty(x, mu_z)
         pc_y = pearson_penalty(y, mu_z)

@@ -782,6 +782,28 @@ class TestEvaluate:
         with open(os.path.join(eval_out, "metrics.json")) as fh:
             assert json.load(fh) == trained
 
+    def test_distilled_run_metrics_equal_the_training_report(self, tmp_path):
+        # model.json records distill, so evaluate --dataset distills its data too
+        cfg_path = tmp_path / "distill.cfg"
+        cfg_path.write_text("dataset = heavy_tail\nsizes = [40, 10, 10]\ndistill = true\n"
+                            "hidden = [5]\nepochs = 20\nwarm_epochs = 20\nrestarts = 1\n"
+                            "s_eval = 100\n")
+        run = str(tmp_path / "run")
+        assert main(["train", "--config", str(cfg_path), "--seed", "2", "--out", run]) == 0
+        with open(os.path.join(run, "model.json")) as fh:
+            blob = json.load(fh)
+        assert blob["distill"] is True and "standardize" not in blob
+        eval_out = str(tmp_path / "eval")
+        assert main(["evaluate", "--model", os.path.join(run, "model.json"),
+                     "--dataset", "heavy_tail", "--sizes", "40,10,10",
+                     "--samples", "100", "--seed", "2", "--out", eval_out]) == 0
+        with open(os.path.join(run, "result.json")) as fh:
+            trained = json.load(fh)["metrics"]
+        with open(os.path.join(eval_out, "metrics.json")) as fh:
+            assert json.load(fh) == trained
+        with open(os.path.join(eval_out, "manifest.json")) as fh:
+            assert json.load(fh)["config"]["distill"] is True
+
     def test_latent_row_mismatch_is_config_error(self, tmp_path, capsys):
         out = _run_train(tmp_path, "NCAI", "base2")
         code = main(["evaluate", "--model", os.path.join(out, "model.json"),
@@ -989,9 +1011,10 @@ class TestDecompose:
     (lambda blob: blob["posterior"]["arch"].update(hidden_layers=[5.0]), "arch.hidden_layers.0"),
     (lambda blob: blob["posterior"]["arch"].update(hidden_layers=["5"]), "arch.hidden_layers.0"),
     (lambda blob: blob.update(standardize="true"), "standardize"),
+    (lambda blob: blob.update(distill=1), "distill"),
 ], ids=["not-json", "no-posterior", "no-priors", "no-arch", "no-block", "arch-key",
         "priors-key", "input-dim-float", "output-dim-float", "hidden-fraction", "hidden-float",
-        "hidden-string", "standardize-string"])
+        "hidden-string", "standardize-string", "distill-int"])
 @pytest.mark.parametrize("command", [
     ["evaluate", "--dataset", "heavy_tail", "--sizes", "25,8,8"], ["decompose"],
 ], ids=["evaluate", "decompose"])

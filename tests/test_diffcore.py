@@ -202,17 +202,16 @@ class TestExpit:
 # A product over a contracted dimension of 1 is computed as a broadcast
 # multiply. Its values equal matmul's (== below). The one difference in bits
 # is the sign of an exact zero: a zero product comes out -0.0 where matmul's
-# sum gives +0.0. Neither place can see it. Every entry of an HZ chunk goes
-# through exp, and exp(-0.0) == exp(+0.0) == 1.0. In the tape a product entry
-# reaches the loss only through sums, products, leaky_relu and squares, which
-# keep every nonzero result and every magnitude whatever a zero's sign; and
-# Adam's moments start at +0.0, so a -0.0 gradient entry takes the same step.
+# sum gives +0.0. The tape cannot see it: a product entry reaches the loss
+# only through sums, products, leaky_relu and squares, which keep every
+# nonzero result and every magnitude whatever a zero's sign; and Adam's
+# moments start at +0.0, so a -0.0 gradient entry takes the same step.
 _OUTER_SHAPES = [((256, 1), (1, 750)), ((256, 1), (1, 3000)), ((16, 300, 1), (16, 1, 50)),
                  ((750, 1), (1, 50)), ((300, 1), (16, 1, 50))]
 
 
 class TestOuterProducts:
-    # (256, 2) @ (2, 750) stays on matmul: a broadcast multiply of it would raise
+    # a contracted dimension of 2 stays on matmul: a broadcast multiply of it would raise
     @pytest.mark.parametrize("a_shape, b_shape", _OUTER_SHAPES + [((256, 2), (2, 750))])
     def test_product_equals_matmul(self, a_shape, b_shape):
         rng = np.random.default_rng(7)

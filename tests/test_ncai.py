@@ -16,13 +16,14 @@ from bnnlv.ncai import (
     hz_statistic,
     map_estimate,
     ncai_objective,
+    objective_graph,
     offdiag_penalty,
     pearson_penalty,
     smooth_exp,
     warm_start,
 )
-from bnnlv.train import TrainConfig
-from bnnlv.vi import elbo, random_init
+from bnnlv.train import TrainConfig, optimize
+from bnnlv.vi import BLOCKS, elbo, random_init
 from oracles import composite_hz_statistic, finite_diff_coord, naive_hz_statistic, rel_err
 
 CAP = 150.0
@@ -129,25 +130,28 @@ class TestHzFused:
         for i in rng.choice(n * p, size=min(n * p, 10), replace=False):
             assert rel_err(grad.flat[i], finite_diff_coord(f, pts.ravel(), i)) <= 1e-5
 
-    # at p = 1 each chunk's product is an outer product, computed as a
-    # broadcast multiply (see test_diffcore.TestOuterProducts); p = 2 stays
-    # on matmul. Both against the kernel with every product on matmul.
-    @pytest.mark.parametrize("n", [750, 3000])
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_chunk_products_equal_matmul_form(self, monkeypatch, n, p):
+    # each chunk's exponent is one product [b2 t, 1, u] @ [xc^T; u^T; 1]; checked
+    # against the oracle's N x N arrays at desk size, on a ragged last chunk
+    # and on one chunk shorter than _HZ_CHUNK
+    @pytest.mark.parametrize("n, p", [(750, 1), (750, 2), (3 * _HZ_CHUNK + 5, 2),
+                                      (_HZ_CHUNK - 1, 1)],
+                             ids=["desk_p1", "desk_p2", "ragged_chunks", "below_one_chunk"])
+    def test_chunk_kernel_matches_composite(self, n, p):
         pts = np.random.default_rng(n + p).standard_normal((n, p))
+        val, grad, ref_val, ref_grad = _hz_grads(pts)
+        assert val == pytest.approx(ref_val, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-11 * np.abs(ref_grad).max())
 
-        def value_and_grad():
-            leaf = dc.leaf(pts)
-            out = hz_statistic(leaf)
-            dc.backward(out)
-            return float(out.value), leaf.grad
-
-        val, grad = value_and_grad()
-        monkeypatch.setattr(dc, "_matmul", lambda a, b, out=None: np.matmul(a, b, out=out))
-        ref_val, ref_grad = value_and_grad()
-        assert val == ref_val
-        assert np.array_equal(grad, ref_grad)
+    # an outlier row has d_j near N: exp(b2 M_jk) alone would overflow, and a
+    # factored kernel exp(-c d_j) exp(-c d_k) exp(2c M_jk) would give inf * 0 = NaN
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_outlier_row_matches_composite(self, p):
+        pts = np.random.default_rng(40 + p).standard_normal((750, p))
+        pts[17] += 50.0
+        val, grad, ref_val, ref_grad = _hz_grads(pts)
+        assert np.isfinite(val) and np.all(np.isfinite(grad))
+        assert val == pytest.approx(ref_val, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-11 * np.abs(ref_grad).max())
 
     def test_one_tape_node(self):
         leaf = dc.leaf(np.random.default_rng(5).standard_normal((30, 2)))
@@ -188,6 +192,10 @@ class TestOffdiag:
 
     def test_single_column_is_zero(self):
         assert float(offdiag_penalty(np.random.default_rng(0).standard_normal((10, 1)))) == 0.0
+
+    def test_single_column_builds_no_tape_node(self):
+        out = offdiag_penalty(dc.leaf(np.random.default_rng(0).standard_normal((10, 1))))
+        assert type(out) is float and out == 0.0
 
 
 class TestPearson:
@@ -257,6 +265,24 @@ class TestObjective:
             qb, data, priors, n_mc=2, seed=3
         )
         assert pen_a != pytest.approx(pen_b, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_means_diverge_at_one_latent_column(self, bad):
+        # the off-diagonal penalty is 0.0 there whatever the means hold; the
+        # ELBO, HZ and Pearson still see a non-finite mean, so training stops
+        data, q, priors = self._setup()
+        q.mu_z[3, 0] = bad
+        view = data.view("train")
+
+        def loss(leaves):
+            obj, parts = objective_graph(q.arch, leaves, view.x, view.y, priors, NcaiConfig(),
+                                         n_mc=1, seed=0)
+            assert parts["offdiag"] == 0.0
+            return obj
+
+        with pytest.raises(DivergenceError, match="non-finite at epoch 0"), \
+                np.errstate(invalid="ignore", over="ignore"):
+            optimize(loss, dict(zip(BLOCKS, q.params())), TrainConfig(), epochs=3)
 
     def test_needs_latent_inputs(self):
         n = 6
