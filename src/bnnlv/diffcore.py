@@ -18,7 +18,6 @@ there are none.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -137,35 +136,14 @@ def absolute(a):
     return _op("abs", np.abs(av), (a, lambda g, x=av: g * np.sign(x)))
 
 
-def _exp_or_inf(v):
-    try:
-        return math.exp(v)
-    except OverflowError:  # libm's exp gives inf here; math.exp raises instead
-        return math.inf
-
-
-def expit(x):
-    """The logistic sigmoid 1 / (1 + exp(-x)), equal to ``scipy.special.expit``
-    bit for bit, also at +-0, +-inf, NaN and subnormals, and without warnings.
-
-    Both take exp(-x) from libm's ``exp``, one element at a time; numpy's
-    vectorized ``exp`` differs from it in the last bit for some arguments.
-    An exp(-x) beyond the largest float is inf, which gives 0.0, as in scipy.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    neg = (-x).ravel().tolist()
-    try:
-        e = np.fromiter(map(math.exp, neg), np.float64, len(neg))
-    except OverflowError:
-        e = np.fromiter(map(_exp_or_inf, neg), np.float64, len(neg))
-    e += 1.0
-    return np.divide(1.0, e, out=e).reshape(x.shape)
-
-
 def softplus(a):
-    """softplus(x) = log(1 + exp(x)), computed stably."""
-    av = _val(a)
-    return _op("softplus", np.logaddexp(0.0, av), (a, lambda g, x=av: g * expit(x)))
+    """softplus(x) = log(1 + exp(x)), computed stably.
+
+    Its gradient, the sigmoid 1 / (1 + exp(-x)), is 1 - exp(-softplus(x)):
+    the VJP reuses the output and takes no second exp of x.
+    """
+    out = np.logaddexp(0.0, _val(a))
+    return _op("softplus", out, (a, lambda g, o=out: g * -np.expm1(-o)))
 
 
 def leaky_relu(a, alpha=0.01):
@@ -183,13 +161,13 @@ def leaky_relu(a, alpha=0.01):
     return _op("leaky_relu", out, (a, lambda g, x=av: g * np.maximum(x > 0.0, alpha)))
 
 
-def _matmul(a, b, out=None):
-    """``np.matmul(a, b, out=out)``; over a contracted dimension of 1 the
+def _matmul(a, b):
+    """``np.matmul(a, b)``; over a contracted dimension of 1 the
     product is an outer product, which a broadcast multiply computes faster
     with equal values (numpy's matmul does not call BLAS there)."""
     if a.shape[-1] == 1 and b.shape[-2] == 1:
-        return np.multiply(a, b, out=out)
-    return np.matmul(a, b, out=out)
+        return np.multiply(a, b)
+    return np.matmul(a, b)
 
 
 def matmul(a, b):
@@ -255,11 +233,6 @@ def mean_(a, axis=None, keepdims=False):
     av = _val(a)
     count = av.size if axis is None else np.prod([av.shape[i] for i in np.atleast_1d(axis)])
     return div(sum_(a, axis=axis, keepdims=keepdims), float(count))
-
-
-def gaussian_reparam(mu, rho, eps):
-    """Reparameterized Gaussian draw mu + softplus(rho) * eps."""
-    return add(mu, mul(softplus(rho), eps))
 
 
 def backward(loss):
@@ -383,18 +356,18 @@ class Architecture:
         return mask
 
 
-def xavier_std(fan_in, fan_out, gain=1.0):
-    return gain * np.sqrt(2.0 / (fan_in + fan_out))
+def xavier_std(fan_in, fan_out):
+    return np.sqrt(2.0 / (fan_in + fan_out))
 
 
-def xavier_normal_weights(arch, rng, gain=1.0):
+def xavier_normal_weights(arch, rng):
     """Flat weight vector with layer-wise zero-mean normal entries.
 
-    Each layer's weights and biases use std gain * sqrt(2 / (fan_in + fan_out)).
+    Each layer's weights and biases use std sqrt(2 / (fan_in + fan_out)).
     """
     w = np.empty(arch.param_count)
     for w_sl, b_sl, din, dout in arch.layer_slices():
-        std = xavier_std(din, dout, gain)
+        std = xavier_std(din, dout)
         w[w_sl] = rng.normal(0.0, std, din * dout)
         w[b_sl] = rng.normal(0.0, std, dout)
     return w

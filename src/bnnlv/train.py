@@ -298,23 +298,16 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
     return q, history
 
 
-def restart_select(trained, data, s_ll=2000, seed=0):
-    """Pick the restart with the best validation average marginal log-likelihood.
-
-    ``trained`` is a list of (posterior, priors) pairs, each scored at the
-    same ``seed``; returns (winning index, list of scores). A single
-    restart is scored too: its score is the run's validation score.
+def restart_select(q, priors, data, s_ll=2000, seed=0):
+    """Score one trained restart: its validation average marginal
+    log-likelihood at ``seed`` and S=``s_ll`` (the training split's when
+    ``data`` has no validation rows). ``train_restarts`` keeps the restart
+    with the highest score.
     """
     from .metrics import avg_marginal_ll
 
-    if not trained:
-        raise ValueError("no trained models to select from")
     which = "val" if len(data.val_idx) else "train"
-    scores = [
-        avg_marginal_ll(q, data, priors, which=which, s=s_ll, seed=seed)
-        for q, priors in trained
-    ]
-    return int(np.argmax(scores)), scores
+    return avg_marginal_ll(q, data, priors, which=which, s=s_ll, seed=seed)
 
 
 def train_restarts(data, arch, priors, ncai_cfg, train_cfg, method, seed, s_ll=2000):
@@ -330,9 +323,8 @@ def train_restarts(data, arch, priors, ncai_cfg, train_cfg, method, seed, s_ll=2
 
     def job(i):
         q, history = train(data, arch, priors, ncai_cfg, train_cfg, method, seeds[i])
-        _, (score,) = restart_select([(q, final_priors(priors, history))], data,
-                                     s_ll=s_ll, seed=seed)
-        history.score = score
+        history.score = restart_select(q, final_priors(priors, history), data,
+                                       s_ll=s_ll, seed=seed)
         return q, history
 
     results = fork_map(job, len(seeds))

@@ -129,30 +129,29 @@ def random_init(arch, n_train, seed):
     return MeanFieldPosterior(arch, mu_w, rho_w, mu_z, rho_z)
 
 
-def kl_diag_gaussian(mu_q, var_q, mu_p, var_p):
-    """KL divergence between diagonal Gaussians, summed over coordinates.
+def kl_diag_gaussian(mu, var, prior_var):
+    """KL divergence from N(mu, diag(var)) to the prior N(0, prior_var * I),
+    summed over coordinates.
 
-    Accepts broadcastable arrays; ``mu_q``/``var_q`` may be Nodes.
+    Accepts broadcastable arrays; ``mu``/``var`` may be Nodes.
     """
-    var_q_v = dc._val(var_q)
-    var_p_v = dc._val(var_p)
-    if np.any(var_q_v <= 0.0):
-        raise ValueError("var_q must be positive")
-    if np.any(var_p_v <= 0.0):
-        raise ValueError("var_p must be positive")
-    diff = dc.add(mu_q, dc.neg(mu_p))
+    var_v = dc._val(var)
+    if np.any(var_v <= 0.0):
+        raise ValueError("var must be positive")
+    if prior_var <= 0.0:
+        raise ValueError("prior_var must be positive")
     terms = dc.add(
-        dc.add(np.log(var_p_v), dc.neg(dc.log(var_q))),
-        dc.add(dc.div(dc.add(var_q, dc.mul(diff, diff)), var_p_v), -1.0),
+        dc.add(np.log(prior_var), dc.neg(dc.log(var))),
+        dc.add(dc.div(dc.add(var, dc.mul(mu, mu)), prior_var), -1.0),
     )
     out = dc.mul(dc.sum_(terms), 0.5)
     return out if isinstance(out, dc.Node) else float(out)
 
 
-def _variance(leaves, block):
-    """softplus(rho)^2 of a scale block. Raises DivergenceError naming the
-    block once a scale has underflowed to 0, where the KL has no value."""
-    sigma = dc.softplus(leaves[block])
+def _variance(sigma, block):
+    """sigma^2 of the scale block named ``block``. Raises DivergenceError
+    naming the block once a scale has underflowed to 0, where the KL has no
+    value."""
     var = dc.mul(sigma, sigma)
     if np.any(dc._val(var) <= 0.0):
         raise DivergenceError(f"variance underflowed to 0 in block {block}",
@@ -180,13 +179,16 @@ def elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
     p = arch.param_count
     eps = rng.standard_normal((n_mc, p + n * k))
     eps_w, eps_z = eps[:, :p], eps[:, p:].reshape(n_mc, n, k)
-    w = dc.gaussian_reparam(leaves["mu_w"], leaves["rho_w"], eps_w)
-    Z = dc.gaussian_reparam(leaves["mu_z"], leaves["rho_z"], eps_z) if has_z else None
+    # one softplus per scale block feeds both the draw and the KL variance
+    sigma_w = dc.softplus(leaves["rho_w"])
+    sigma_z = dc.softplus(leaves["rho_z"]) if has_z else None
+    w = dc.add(leaves["mu_w"], dc.mul(sigma_w, eps_w))
+    Z = dc.add(leaves["mu_z"], dc.mul(sigma_z, eps_z)) if has_z else None
     ell = dc.mul(log_likelihood(arch, w, Z, x, y, priors.sigma2_eps), 1.0 / n_mc)
 
-    kl_w = kl_diag_gaussian(leaves["mu_w"], _variance(leaves, "rho_w"), 0.0, priors.sigma2_w)
+    kl_w = kl_diag_gaussian(leaves["mu_w"], _variance(sigma_w, "rho_w"), priors.sigma2_w)
     if has_z:
-        kl_z = kl_diag_gaussian(leaves["mu_z"], _variance(leaves, "rho_z"), 0.0, priors.sigma2_z)
+        kl_z = kl_diag_gaussian(leaves["mu_z"], _variance(sigma_z, "rho_z"), priors.sigma2_z)
     else:
         kl_z = 0.0
     value = dc.add(ell, dc.neg(dc.add(kl_w, kl_z)))

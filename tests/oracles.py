@@ -198,28 +198,29 @@ def gaussian_entropy(var):
 
 def per_sample_elbo_graph(arch, leaves, x, y, priors, n_mc, seed):
     """``vi.elbo_graph`` with one reparameterisation, forward pass and
-    log-likelihood per Monte Carlo sample, from the same rng draws."""
+    log-likelihood per Monte Carlo sample, from the same rng draws; each
+    scale block's one softplus feeds every draw and the KL."""
     rng = np.random.default_rng(seed)
     has_z = arch.input_dim_z > 0
+    sigma_w = dc.softplus(leaves["rho_w"])
+    sigma_z = dc.softplus(leaves["rho_z"]) if has_z else None
 
     ll_sum = None
     for _ in range(n_mc):
         eps_w = rng.standard_normal(dc._val(leaves["mu_w"]).shape)
-        w = dc.gaussian_reparam(leaves["mu_w"], leaves["rho_w"], eps_w)
+        w = dc.add(leaves["mu_w"], dc.mul(sigma_w, eps_w))
         if has_z:
             eps_z = rng.standard_normal((x.shape[0], arch.input_dim_z))
-            Z = dc.gaussian_reparam(leaves["mu_z"], leaves["rho_z"], eps_z)
+            Z = dc.add(leaves["mu_z"], dc.mul(sigma_z, eps_z))
         else:
             Z = None
         ll = log_likelihood(arch, w, Z, x, y, priors.sigma2_eps)
         ll_sum = ll if ll_sum is None else dc.add(ll_sum, ll)
     ell = dc.mul(ll_sum, 1.0 / n_mc)
 
-    sigma_w = dc.softplus(leaves["rho_w"])
-    kl_w = kl_diag_gaussian(leaves["mu_w"], dc.mul(sigma_w, sigma_w), 0.0, priors.sigma2_w)
+    kl_w = kl_diag_gaussian(leaves["mu_w"], dc.mul(sigma_w, sigma_w), priors.sigma2_w)
     if has_z:
-        sigma_z = dc.softplus(leaves["rho_z"])
-        kl_z = kl_diag_gaussian(leaves["mu_z"], dc.mul(sigma_z, sigma_z), 0.0, priors.sigma2_z)
+        kl_z = kl_diag_gaussian(leaves["mu_z"], dc.mul(sigma_z, sigma_z), priors.sigma2_z)
     else:
         kl_z = 0.0
     return dc.add(ell, dc.neg(dc.add(kl_w, kl_z)))

@@ -148,55 +148,36 @@ class TestBackward:
         np.testing.assert_allclose(leaf.grad, expected)
 
 
-class TestGaussianReparam:
-    def test_zero_eps_returns_mu(self):
-        mu = np.array([1.0, -2.0])
-        out = dc.gaussian_reparam(mu, np.array([0.3, 0.5]), np.zeros(2))
-        np.testing.assert_array_equal(out, mu)
-
-    def test_unit_grad_wrt_mu(self):
-        mu = dc.leaf(np.array(0.7))
-        out = dc.gaussian_reparam(mu, np.array(0.1), np.array(1.3))
-        dc.backward(out)
-        assert mu.grad == pytest.approx(1.0)
-
-    def test_softplus_at_zero(self):
-        out = dc.gaussian_reparam(np.array(0.0), np.array(0.0), np.array(1.0))
-        assert float(out) == pytest.approx(np.log(2.0))
-
-
-class TestExpit:
-    """softplus's gradient against scipy's expit, bit for bit: both take exp
-    from libm, so the package needs no scipy to train."""
+class TestSoftplusGradient:
+    """softplus's gradient is the sigmoid, taken from softplus's own output
+    as 1 - exp(-softplus(x)); scipy's expit is the reference."""
 
     @staticmethod
-    def _assert_bitwise_equal(x):
-        got, want = dc.expit(x), scipy_expit(x)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    def _gradient(x):
+        leaf = dc.leaf(x)
+        # the forward's logaddexp flags a NaN argument; the gradient flags nothing
+        with np.errstate(invalid="ignore"):
+            root = dc.sum_(dc.softplus(leaf))
+        dc.backward(root)
+        return leaf.grad
 
     @pytest.mark.filterwarnings("error")
     def test_edge_values(self):
-        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
-                 709.782712893384, -709.782712893384, -745.2, 745.2, -710.0, 1e308, -1e308]
-        self._assert_bitwise_equal(np.array(edges))
-        self._assert_bitwise_equal(np.array(edges).reshape(2, 7))
-        for v in edges:  # a 0-d operand, and the overflow path on its own
-            self._assert_bitwise_equal(np.array(v))
-        self._assert_bitwise_equal(np.empty((0, 3)))
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, -745.2])
+        # the sigmoid rounded to the nearest float: at -745 the smallest
+        # subnormal, at -745.2 zero (scipy's expit gives 0.0 at both)
+        want = np.array([0.5, 0.5, 1.0, 0.0, np.nan, 1.0, 5e-324, 0.0])
+        got = self._gradient(x)
+        assert got.shape == x.shape and np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(self._gradient(np.array(0.0)), 0.5)  # a 0-d operand
 
     @pytest.mark.filterwarnings("error")
-    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2), elements=st.floats()))
-    def test_matches_scipy_bitwise(self, x):
-        self._assert_bitwise_equal(x)
-
-    def test_softplus_gradient_is_expit(self):
-        x = np.random.default_rng(3).normal(0.0, 20.0, 751)
-        leaf = dc.leaf(x)
-        dc.backward(dc.sum_(dc.softplus(leaf)))
-        assert np.array_equal(leaf.grad.view(np.uint64), scipy_expit(x).view(np.uint64))
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2),
+                        elements=st.floats(-708.0, 1e300)))
+    def test_matches_scipy_expit(self, x):
+        # over arguments whose sigmoid is a normal float
+        want = scipy_expit(x)
+        assert np.all(np.abs(self._gradient(x) - want) <= 1e-15 * want)
 
 
 # A product over a contracted dimension of 1 is computed as a broadcast
@@ -218,8 +199,6 @@ class TestOuterProducts:
         a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
         want = np.matmul(a, b)
         assert np.array_equal(dc._matmul(a, b), want)
-        out = np.empty_like(want)
-        assert dc._matmul(a, b, out=out) is out and np.array_equal(out, want)
 
     # an outer-product forward, and the BBB output layer, whose input VJP is one
     @pytest.mark.parametrize("a_shape, b_shape", [((16, 300, 1), (16, 1, 50)),
@@ -237,7 +216,7 @@ class TestOuterProducts:
             return out.value, la.grad, lb.grad
 
         got = run()
-        monkeypatch.setattr(dc, "_matmul", lambda x, y, out=None: np.matmul(x, y, out=out))
+        monkeypatch.setattr(dc, "_matmul", np.matmul)
         want = run()
         for g, m in zip(got, want):
             assert g.shape == m.shape and np.array_equal(g, m)
@@ -552,9 +531,3 @@ class TestOpsMatchFiniteDifferences:
         cut = axis % len(shape)
         parts = [data.draw(_arrays(shape[:cut] + (w,) + shape[cut + 1 :])) for w in widths]
         _assert_grads_match_fd(lambda *ps: dc.concat(list(ps), axis=axis), *parts)
-
-    @given(data=st.data())
-    def test_gaussian_reparam(self, data):
-        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=3, max_side=4)).input_shapes
-        mu, rho, eps = (data.draw(_arrays(s)) for s in shapes)
-        _assert_grads_match_fd(dc.gaussian_reparam, mu, rho, eps)

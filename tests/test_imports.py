@@ -2,10 +2,11 @@
 
 Every ``bnnlv`` command pays for the modules the package imports at start-up.
 scipy and jsonschema are the two slowest of them, and no command needs them
-at import time: ``softplus``'s gradient takes ``exp`` from libm through
-``math``, the k-NN estimators import scipy when they run, and a schema check
-imports jsonschema where it runs. A fresh interpreter checks the module
-table, so the tests do not depend on timing.
+at import time: ``softplus``'s gradient is numpy's, the k-NN estimators
+import scipy when they run, and a schema check imports jsonschema where it
+runs. Training a network without latent inputs needs no scipy at all. A
+fresh interpreter checks the module table, so the tests do not depend on
+timing.
 """
 import json
 import os
@@ -57,3 +58,19 @@ def test_gen_data_loads_neither_scipy_nor_jsonschema(tmp_path):
     )
     assert _slow_modules(_modules_loaded(code)) == []
     assert (tmp_path / "data" / "train.csv").is_file()
+
+
+def test_training_without_latents_loads_no_scipy(tmp_path):
+    data = tmp_path / "data"
+    cfg = tmp_path / "bnn.cfg"
+    cfg.write_text("method = BNN\nhidden = [5]\nepochs = 5\nrestarts = 1\n"
+                   + "".join(f"{w}_csv = {data / (w + '.csv')}\n" for w in ("train", "val", "test")))
+    code = (
+        "from bnnlv.cli import main\n"
+        f"assert main(['gen-data', '--name', 'depeweg', '--sizes', '20,5,5', "
+        f"'--out', {str(data)!r}]) == 0\n"
+        f"assert main(['train', '--config', {str(cfg)!r}, '--seed', '0', "
+        f"'--out', {str(tmp_path / 'run')!r}]) == 0\n"
+    )
+    assert [m for m in _modules_loaded(code) if m.split(".")[0] == "scipy"] == []
+    assert (tmp_path / "run" / "model.json").is_file()
