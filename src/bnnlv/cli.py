@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -321,6 +322,7 @@ MODEL_SCHEMA = {
         },
         "priors": _fields_schema(PriorConfig),
         **dict.fromkeys(MODEL_DATA_KEYS, {"type": "boolean"}),
+        "train_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
     },
 }
 
@@ -382,6 +384,15 @@ def build_dataset(cfg, seed):
     if cfg.get("standardize", False):
         data = standardize(data)
     return data
+
+
+def _train_sha256(data):
+    """SHA-256 of the train split's x and then y as float64 bytes: the rows a
+    latent model's ``mu_z`` pairs with."""
+    view = data.view("train")
+    digest = hashlib.sha256(np.asarray(view.x, dtype=np.float64).tobytes())
+    digest.update(np.asarray(view.y, dtype=np.float64).tobytes())
+    return digest.hexdigest()
 
 
 def build_experiment(cfg, seed):
@@ -460,6 +471,8 @@ def _run_training(cfg, seed, out_dir):
     _write_csv(os.path.join(out_dir, "history.csv"), hist.COLUMNS, hist.rows())
     model = {"method": method, "posterior": q.to_dict(), "priors": asdict(fin_priors),
              **{k: True for k in MODEL_DATA_KEYS if cfg.get(k, False)}}
+    if arch.input_dim_z > 0:
+        model["train_sha256"] = _train_sha256(data)
     _write_json(os.path.join(out_dir, "model.json"), model)
     if data.input_dim == 1 and data.output_dim == 1:
         _write_predictive_grid(out_dir, q, fin_priors, data, s=max(200, min(s_eval, 500)))
@@ -533,8 +546,9 @@ def cmd_train(args):
 
 
 def _load_model(path):
-    """(posterior, priors, method, data record) from a model.json, else
-    ConfigError naming the key; the record holds its MODEL_DATA_KEYS."""
+    """(posterior, priors, method, data record, train_sha256 or None) from a
+    model.json, else ConfigError naming the key; the record holds its
+    MODEL_DATA_KEYS."""
     with open(path) as fh:
         try:
             blob = json.load(fh)
@@ -555,7 +569,7 @@ def _load_model(path):
     q = MeanFieldPosterior.from_dict(blob["posterior"])
     priors = PriorConfig(**blob["priors"])
     record = {k: True for k in MODEL_DATA_KEYS if blob.get(k, False)}
-    return q, priors, blob.get("method", "NCAI"), record
+    return q, priors, blob.get("method", "NCAI"), record, blob.get("train_sha256")
 
 
 def cmd_evaluate(args):
@@ -566,10 +580,19 @@ def cmd_evaluate(args):
     if "sizes" in cfg:
         cfg["sizes"] = list(parse_sizes(cfg["sizes"]))
     source = _data_source(cfg)  # a mix of sources fails before the model loads
-    q, priors, method, record = _load_model(args.model)
+    q, priors, method, record, trained_on = _load_model(args.model)
     # a distilled run's CSVs hold its distilled targets already
     cfg.update({k: v for k, v in record.items() if k != "distill" or source == "dataset"})
     data = build_dataset(cfg, args.seed)
+    # a model written without the hash, or without latents, is scored on any rows
+    if trained_on is not None and q.input_dim_z > 0:
+        found = _train_sha256(data)
+        if found != trained_on:
+            raise ConfigError(
+                f"{args.model}'s latent factors were fit on training rows with sha256 "
+                f"{trained_on}, but these data's training rows have sha256 {found}; pass "
+                "the training run's --seed (or its data_seed) and sizes, or the CSVs that "
+                "gen-data wrote for it")
     report = compute_report(q, data, priors, method=method, s=args.samples, seed=args.seed)
     _write_json(os.path.join(args.out, "metrics.json"), report.to_dict(), schema=METRICS_SCHEMA)
     return {"model": args.model, **cfg, "samples": args.samples}, report.to_dict()
@@ -664,7 +687,7 @@ def cmd_decompose(args):
     if bool(args.model) == bool(args.dataset):
         raise ConfigError("decompose needs exactly one of --model and --dataset")
     if args.model:
-        q_w, priors, _, record = _load_model(args.model)
+        q_w, priors, _, record, _ = _load_model(args.model)
         if record.get("standardize"):
             raise ConfigError(f"{args.model} was trained on standardized data; --x-grid "
                               "is in raw units")

@@ -1,13 +1,14 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written the slow, obvious way and shares
-no code with the implementations under test, except ``composite_hz_statistic``,
-which composes the generic tape ops to give a gradient reference for the
-fused Henze-Zirkler op, and the per-sample ELBO and per-draw predictive
-loops, which run the single-draw forward pass once per Monte Carlo draw to
-check the batched paths. The dense estimators hold every pairwise N x N (or
-M x N) array and check the k-d tree and row-chunked versions. ``point_mass``
-builds the degenerate weight posterior that several metric tests score.
+no code with the implementations under test, except ``composite_hz_statistic``
+and ``composite_pearson_penalty``, which compose the generic tape ops to give
+value and gradient references for the fused Henze-Zirkler and Pearson ops,
+and the per-sample ELBO and per-draw predictive loops, which run the
+single-draw forward pass once per Monte Carlo draw to check the batched paths.
+The dense estimators hold every pairwise N x N (or M x N) array and check the
+k-d tree and row-chunked versions. ``point_mass`` builds the degenerate weight
+posterior that several metric tests score.
 """
 import functools
 
@@ -138,6 +139,30 @@ def composite_hz_statistic(points, ridge_rel=1e-6):
     term2 = dc.mul(dc.sum_(dc.exp(dc.mul(dj, -b2 / (2.0 * (1.0 + b2))))), coef2)
     term3 = (1.0 + 2.0 * b2) ** (-p / 2.0)
     return dc.mul(dc.add(dc.add(term1, dc.neg(term2)), term3), float(n))
+
+
+def composite_pearson_penalty(a, b):
+    """Mean absolute Pearson correlation over the column pairs of (a, b), one
+    chain of generic tape ops per pair; a pair with a zero-variance column is
+    skipped, so with every pair skipped the result is the float 0.0."""
+    av = np.asarray(a, dtype=np.float64)
+    ac = av - av.mean(axis=0)
+    ssa = (ac * ac).sum(axis=0)
+    d, k = ac.shape[1], dc._val(b).shape[1]
+    bc = dc.add(b, dc.neg(dc.mean_(b, axis=0, keepdims=True)))
+    total = 0.0
+    for j in range(k):
+        col = dc.take(bc, (slice(None), j))
+        ssb = dc.sum_(dc.mul(col, col))
+        if float(dc._val(ssb)) == 0.0:
+            continue
+        for i in range(d):
+            if ssa[i] == 0.0:
+                continue
+            num = dc.sum_(dc.mul(col, ac[:, i]))
+            corr = dc.div(num, dc.sqrt(dc.mul(ssb, float(ssa[i]))))
+            total = dc.add(total, dc.absolute(corr))
+    return dc.mul(total, 1.0 / (d * k))
 
 
 def _jitter(a, seed):

@@ -146,11 +146,17 @@ def test_c03_map_overfits_past_ground_truth():
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(0).spawn(10)]
 
     def random_start(i):
-        return map_estimate(
-            data, priors, data.gt_arch, init="random", opt_cfg=opt, seed=seeds[i],
-        ).log_joint
+        fit = map_estimate(data, priors, data.gt_arch, init="random", opt_cfg=opt, seed=seeds[i])
+        return len(fit.history) - 1, fit.log_joint
 
-    best = max(fork_map(random_start, len(seeds)))
+    starts = fork_map(random_start, len(seeds))
+    _print_margins(
+        ["method", "seed", "epochs", "log_joint", "minus_gt"],
+        [("MAP", s, ep, lj, lj - gt_lj) for s, (ep, lj) in zip(seeds, starts)],
+        f"random starts 100 nats or more above the ground truth ({gt_lj:.6g}): "
+        f"{sum(lj - gt_lj >= 100.0 for _, lj in starts)} of {len(seeds)} (needs 1)",
+    )
+    best = max(lj for _, lj in starts)
     assert best - gt_lj >= 100.0
     assert time.time() - start < 600.0
 
@@ -307,17 +313,30 @@ DESK_CFG = TrainConfig(epochs=3000, restarts=1, warm_epochs=2000, init="warm")
 DESK_RUNS = [(method, seed) for method in ("NCAI", "BNNLV_BBB") for seed in range(5)]
 
 
+def _print_margins(header, rows, wins):
+    """Print one row per run of a gate and its win count, so that a failure
+    or ``pytest -rP`` shows the margin."""
+    for row in [header, *rows]:
+        print("  ".join(f"{c:>11.6g}" if isinstance(c, float) else f"{c:>11}" for c in row))
+    print(wins)
+
+
 def _desk_runs(name, sigma2_z, score):
-    """{(method, seed): score(data, priors, q, seed)} over DESK_RUNS, one
-    fork_map job per run."""
+    """{(method, seed): (epochs run, *score(data, priors, q, seed))} over
+    DESK_RUNS, one fork_map job per run."""
     def job(i):
         method, seed = DESK_RUNS[i]
         data = gen_synthetic(name, seed=seed)
         priors = PriorConfig(sigma2_w=1.0, sigma2_z=sigma2_z, sigma2_eps=0.1, eb_w=True)
-        q, _ = train(data, DESK_ARCH, priors, NcaiConfig(), DESK_CFG, method, seed=seed)
-        return score(data, priors, q, seed)
+        q, history = train(data, DESK_ARCH, priors, NcaiConfig(), DESK_CFG, method, seed=seed)
+        return (len(history), *score(data, priors, q, seed))
 
     return dict(zip(DESK_RUNS, fork_map(job, len(DESK_RUNS))))
+
+
+def _print_desk_margins(runs, scores, wins):
+    _print_margins(["method", "seed", "epochs", *scores],
+                   [(method, seed, *runs[method, seed]) for method, seed in DESK_RUNS], wins)
 
 
 @pytest.mark.slow
@@ -332,13 +351,16 @@ def test_c08_constrained_beats_plain_descent_on_depeweg():
             hz_statistic(q.mu_z),
         )
 
-    scores = _desk_runs("depeweg", 1.0, score)
+    runs = _desk_runs("depeweg", 1.0, score)
     ll_wins = pc_wins = hz_wins = 0
     for seed in range(5):
-        ncai, bbb = scores["NCAI", seed], scores["BNNLV_BBB", seed]
-        ll_wins += ncai[0] > bbb[0]
-        pc_wins += ncai[1] < bbb[1]
-        hz_wins += ncai[2] < bbb[2]
+        ncai, bbb = runs["NCAI", seed], runs["BNNLV_BBB", seed]
+        ll_wins += ncai[1] > bbb[1]
+        pc_wins += ncai[2] < bbb[2]
+        hz_wins += ncai[3] < bbb[3]
+    _print_desk_margins(runs, ["test_avg_ll", "abs_pc_y", "hz"],
+                        f"NCAI wins out of 5 (each needs 4): test_avg_ll {ll_wins}, "
+                        f"abs_pc_y {pc_wins}, hz {hz_wins}")
     assert ll_wins >= 4
     assert pc_wins >= 4
     assert hz_wins >= 4
@@ -347,9 +369,10 @@ def test_c08_constrained_beats_plain_descent_on_depeweg():
 
 @pytest.mark.slow
 def test_c09_constraints_suppress_input_latent_dependence():
-    mi = _desk_runs("heavy_tail", 0.01,
-                    lambda data, priors, q, seed: kraskov_mi(data.view("train").x, q.mu_z))
-    mi_wins = sum(mi["NCAI", seed] < mi["BNNLV_BBB", seed] for seed in range(5))
+    runs = _desk_runs("heavy_tail", 0.01,
+                      lambda data, priors, q, seed: (kraskov_mi(data.view("train").x, q.mu_z),))
+    mi_wins = sum(runs["NCAI", seed][1] < runs["BNNLV_BBB", seed][1] for seed in range(5))
+    _print_desk_margins(runs, ["mi_x_z"], f"NCAI wins out of 5 (needs 4): mi_x_z {mi_wins}")
     assert mi_wins >= 4
 
 

@@ -752,31 +752,36 @@ class TestEvaluate:
         assert f"model block {block} " in err["message"]
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("source", ["dataset", "csv"])
+    @pytest.mark.parametrize("train_on, evaluate_on",
+                             [("dataset", "dataset"), ("csv", "csv"), ("dataset", "csv")],
+                             ids=["dataset", "csv", "dataset-then-csv"])
     @pytest.mark.parametrize("standardize", [False, True], ids=["plain", "standardized"])
-    def test_metrics_equal_the_training_report(self, tmp_path, source, standardize):
+    def test_metrics_equal_the_training_report(self, tmp_path, train_on, evaluate_on,
+                                               standardize):
         # evaluate rebuilds the training data, z-scored as training did, so a
-        # report at the run's seed and sample count repeats the run's own
-        if source == "dataset":
-            data_lines = "dataset = depeweg\nsizes = [30, 10, 10]\n"
-            data_flags = ["--dataset", "depeweg", "--sizes", "30,10,10"]
-        else:
-            assert main(["gen-data", "--name", "depeweg", "--sizes", "30,10,10",
-                         "--out", str(tmp_path / "data")]) == 0
-            splits = {s: str(tmp_path / "data" / f"{s}.csv") for s in ("train", "val", "test")}
-            data_lines = "".join(f"{s}_csv = {p}\n" for s, p in splits.items())
-            data_flags = [a for s, p in splits.items() for a in (f"--{s}-csv", p)]
+        # report at the run's seed and sample count repeats the run's own; the
+        # CSVs gen-data writes at that seed hold the rows of the run's dataset
+        assert main(["gen-data", "--name", "depeweg", "--sizes", "30,10,10", "--seed", "4",
+                     "--out", str(tmp_path / "data")]) == 0
+        splits = {s: str(tmp_path / "data" / f"{s}.csv") for s in ("train", "val", "test")}
+        data_lines = {"dataset": "dataset = depeweg\nsizes = [30, 10, 10]\n",
+                      "csv": "".join(f"{s}_csv = {p}\n" for s, p in splits.items())}
+        data_flags = {"dataset": ["--dataset", "depeweg", "--sizes", "30,10,10"],
+                      "csv": [a for s, p in splits.items() for a in (f"--{s}-csv", p)]}
         cfg_path = tmp_path / "std.cfg"
-        cfg_path.write_text(data_lines + f"standardize = {str(standardize).lower()}\n"
+        cfg_path.write_text(data_lines[train_on] + f"standardize = {str(standardize).lower()}\n"
                             "hidden = [5]\nepochs = 20\nwarm_epochs = 20\nrestarts = 1\n"
                             "s_eval = 100\n")
         run = str(tmp_path / "run")
         assert main(["train", "--config", str(cfg_path), "--seed", "4", "--out", run]) == 0
         with open(os.path.join(run, "model.json")) as fh:
-            assert json.load(fh).get("standardize") == (True if standardize else None)
+            blob = json.load(fh)
+        assert blob.get("standardize") == (True if standardize else None)
+        assert len(blob["train_sha256"]) == 64
         eval_out = str(tmp_path / "eval")
-        assert main(["evaluate", "--model", os.path.join(run, "model.json"), *data_flags,
-                     "--samples", "100", "--seed", "4", "--out", eval_out]) == 0
+        assert main(["evaluate", "--model", os.path.join(run, "model.json"),
+                     *data_flags[evaluate_on], "--samples", "100", "--seed", "4",
+                     "--out", eval_out]) == 0
         with open(os.path.join(run, "result.json")) as fh:
             trained = json.load(fh)["metrics"]
         with open(os.path.join(eval_out, "metrics.json")) as fh:
@@ -803,6 +808,32 @@ class TestEvaluate:
             assert json.load(fh) == trained
         with open(os.path.join(eval_out, "manifest.json")) as fh:
             assert json.load(fh)["config"]["distill"] is True
+
+    def test_other_training_rows_are_config_error(self, tmp_path, capsys):
+        # the same row count at another seed: the latent means would pair with
+        # unrelated rows, so the recorded hash refuses them
+        cfg_path = tmp_path / "std.cfg"
+        cfg_path.write_text("dataset = depeweg\nsizes = [60, 20, 20]\nstandardize = true\n"
+                            "hidden = [5]\nepochs = 20\nwarm_epochs = 20\nrestarts = 1\n"
+                            "s_eval = 100\n")
+        run = str(tmp_path / "run")
+        assert main(["train", "--config", str(cfg_path), "--out", run]) == 0
+        model = os.path.join(run, "model.json")
+        out = tmp_path / "e"
+        argv = ["evaluate", "--model", model, "--dataset", "depeweg", "--sizes", "60,20,20",
+                "--samples", "100", "--seed", "1", "--out", str(out)]
+        code = main(argv)
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["error"] == "config" and not out.exists()
+        with open(model) as fh:
+            blob = json.load(fh)
+        assert blob["train_sha256"] in err["message"] and "--seed" in err["message"]
+        assert re.search(r"training rows have sha256 [0-9a-f]{64}", err["message"])
+        # a model.json written before the hash existed is scored as before
+        del blob["train_sha256"]
+        with open(model, "w") as fh:
+            json.dump(blob, fh)
+        assert main(argv) == 0
 
     def test_latent_row_mismatch_is_config_error(self, tmp_path, capsys):
         out = _run_train(tmp_path, "NCAI", "base2")
@@ -1012,9 +1043,10 @@ class TestDecompose:
     (lambda blob: blob["posterior"]["arch"].update(hidden_layers=["5"]), "arch.hidden_layers.0"),
     (lambda blob: blob.update(standardize="true"), "standardize"),
     (lambda blob: blob.update(distill=1), "distill"),
+    (lambda blob: blob.update(train_sha256="5eed"), "train_sha256"),
 ], ids=["not-json", "no-posterior", "no-priors", "no-arch", "no-block", "arch-key",
         "priors-key", "input-dim-float", "output-dim-float", "hidden-fraction", "hidden-float",
-        "hidden-string", "standardize-string", "distill-int"])
+        "hidden-string", "standardize-string", "distill-int", "sha256-short"])
 @pytest.mark.parametrize("command", [
     ["evaluate", "--dataset", "heavy_tail", "--sizes", "25,8,8"], ["decompose"],
 ], ids=["evaluate", "decompose"])

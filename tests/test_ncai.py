@@ -23,8 +23,14 @@ from bnnlv.ncai import (
     warm_start,
 )
 from bnnlv.train import TrainConfig, optimize
-from bnnlv.vi import BLOCKS, elbo, random_init
-from oracles import composite_hz_statistic, finite_diff_coord, naive_hz_statistic, rel_err
+from bnnlv.vi import BLOCKS, _train_inputs, elbo, random_init
+from oracles import (
+    composite_hz_statistic,
+    composite_pearson_penalty,
+    finite_diff_coord,
+    naive_hz_statistic,
+    rel_err,
+)
 
 CAP = 150.0
 
@@ -222,6 +228,94 @@ class TestPearson:
         a = rng.standard_normal((2000, 1))
         b = rng.standard_normal((2000, 1))
         assert float(pearson_penalty(a, b)) < 0.1
+
+
+def _pearson_grads(a, b):
+    """Value and gradient of the fused op and of the composite oracle; an
+    oracle that skipped every pair built no node and has a zero gradient."""
+    fused, ref = dc.leaf(b), dc.leaf(b)
+    out, ref_out = pearson_penalty(a, fused), composite_pearson_penalty(a, ref)
+    dc.backward(out)
+    if isinstance(ref_out, dc.Node):
+        dc.backward(ref_out)
+    ref_grad = np.zeros_like(b) if ref.grad is None else ref.grad
+    return float(out.value), fused.grad, float(dc._val(ref_out)), ref_grad
+
+
+PEARSON_SHAPES = pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (2, 3)])
+
+
+class TestPearsonFused:
+    @PEARSON_SHAPES
+    def test_matches_composite_and_finite_differences(self, d, k):
+        rng = np.random.default_rng(10 * d + k)
+        a = rng.standard_normal((40, d)) * 2.0 + 1.0
+        b = 0.5 * a[:, :1] + rng.standard_normal((40, k))
+        val, grad, ref_val, ref_grad = _pearson_grads(a, b)
+        if (d, k) == (1, 1):
+            assert val == ref_val
+        assert val == pytest.approx(ref_val, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
+        f = lambda v: pearson_penalty(a, v.reshape(b.shape))
+        floor = 1e-3 * np.abs(grad).max()  # a tiny entry cancels in its difference
+        for i in range(b.size):
+            assert rel_err(grad.flat[i], finite_diff_coord(f, b.ravel(), i), floor) <= 1e-6
+
+    @PEARSON_SHAPES
+    def test_zero_variance_column_matches_composite(self, d, k):
+        rng = np.random.default_rng(20 + d + k)
+        a, b = rng.standard_normal((30, d)), rng.standard_normal((30, k))
+        b[:, -1] = 2.5
+        if d > 1:
+            a[:, 0] = -1.0
+        val, grad, ref_val, ref_grad = _pearson_grads(a, b)
+        assert val == pytest.approx(ref_val, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
+        assert np.all(grad[:, -1] == 0.0)
+
+    @PEARSON_SHAPES
+    def test_all_zero_means_give_zero_and_zero_gradient(self, d, k):
+        # the warm start's latent means
+        a = np.random.default_rng(d + k).standard_normal((30, d))
+        val, grad, ref_val, _ = _pearson_grads(a, np.zeros((30, k)))
+        assert val == ref_val == 0.0
+        assert np.all(grad == 0.0)
+
+    @PEARSON_SHAPES
+    def test_nan_entry_propagates_as_in_composite(self, d, k):
+        rng = np.random.default_rng(30 + d + k)
+        a, b = rng.standard_normal((30, d)), rng.standard_normal((30, k))
+        b[3, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            val, grad, ref_val, ref_grad = _pearson_grads(a, b)
+        assert np.isnan(val) and np.isnan(ref_val)
+        np.testing.assert_array_equal(np.isnan(grad), np.isnan(ref_grad))
+        assert np.all(np.isnan(grad[:, 0]))
+        np.testing.assert_allclose(grad[:, 1:], ref_grad[:, 1:], rtol=1e-12, atol=1e-15)
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(6)
+        leaf = dc.leaf(rng.standard_normal((30, 2)))
+        out = pearson_penalty(rng.standard_normal((30, 3)), leaf)
+        assert out.op == "pearson" and out._parents == (leaf,)
+        assert type(pearson_penalty(np.ones((30, 1)), leaf.value)) is float
+
+    def test_objective_tape_holds_two_pearson_nodes(self):
+        # one node per Pearson term of an NCAI objective at one latent column,
+        # and no per-pair |r| node
+        data = gen_synthetic("depeweg", seed=0, sizes=(50, 0, 0))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
+        obj, _ = objective_graph(*_train_inputs(random_init(arch, 50, seed=0), data),
+                                 PriorConfig(sigma2_eps=0.1), NcaiConfig(), n_mc=1, seed=0)
+        ops, stack, seen = [], [obj], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops.append(node.op)
+                stack.extend(node._parents)
+        assert ops.count("pearson") == 2
+        assert "abs" not in ops
 
 
 class TestObjective:
