@@ -51,6 +51,8 @@ CLI_KEYS = {
     "distill": bool, "standardize": bool,
     "train_csv": str, "val_csv": str, "test_csv": str, "n_targets": int,
     "hidden": list[int], "latent_dim": int, "s_eval": int,
+    # retired with the stop rule; build_experiment accepts it only above epochs
+    "convergence_window": int,
 }
 
 # each data source's keys, the naming key first; a config names one source
@@ -430,6 +432,11 @@ def build_experiment(cfg, seed):
         raise ConfigError(f"{source} gives {n_train} training rows; a latent model "
                           "needs more than 5")
     priors, ncai_cfg, train_cfg = (cls(**given(cls)) for cls in _LIBRARY_CONFIGS)
+    # a window above the epoch count is the one range where the old rule never fired
+    if "convergence_window" in cfg and cfg["convergence_window"] <= train_cfg.epochs:
+        raise ConfigError(f"convergence_window = {cfg['convergence_window']}: the stop rule "
+                          f"is gone and every phase runs its {train_cfg.epochs} epochs; "
+                          "drop the key")
     return data, arch, priors, ncai_cfg, train_cfg, method, cfg["s_eval"]
 
 

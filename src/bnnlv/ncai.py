@@ -227,12 +227,12 @@ def ncai_objective(q, data, priors, cfg, n_mc=64, seed=0):
 
 
 def fit_point_mlp(x, y, arch, learning_rate=0.01, epochs=2000, seed=0):
-    """Fit a deterministic net by Adam on mean squared error.
+    """Fit a deterministic net by ``epochs`` epochs of Adam on mean squared error.
 
     Latent input columns, if the architecture has any, are clamped to zero.
     Returns the flat weight vector.
     """
-    from .train import TrainConfig, optimize
+    from .train import optimize
 
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(x.shape[0], -1)
@@ -244,12 +244,7 @@ def fit_point_mlp(x, y, arch, learning_rate=0.01, epochs=2000, seed=0):
         resid = dc.add(dc.mlp_forward(arch, leaves["w"], x, z0), -y)
         return dc.mean_(dc.mul(resid, resid))
 
-    # plateau cutoff: no measurable progress over a long stretch. The caller's
-    # stop settings are not used: at their tolerance a warm start ends early.
-    plateau = TrainConfig(
-        learning_rate=learning_rate, convergence_window=100, convergence_tol=1e-12
-    )
-    optimize(mse, params, plateau, epochs)
+    optimize(mse, params, learning_rate, epochs)
     return params["w"]
 
 
@@ -320,7 +315,7 @@ def map_estimate(data, priors, arch, init="random", opt_cfg=None, seed=0):
     params = {"w": w, "z": z}
     neg_lj = optimize(
         lambda leaves: dc.neg(log_joint(arch, leaves["w"], leaves["z"], view, priors)),
-        params, opt_cfg, opt_cfg.epochs,
+        params, opt_cfg.learning_rate, opt_cfg.epochs,
     )
     final = float(log_joint(arch, params["w"], params["z"], view, priors))
     history = np.array([-v for v in neg_lj] + [final])

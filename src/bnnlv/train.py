@@ -32,8 +32,6 @@ class TrainConfig:
     n_mc: int = 1
     warm_epochs: int = 2000
     init: str = "auto"
-    convergence_tol: float = 1e-6
-    convergence_window: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
@@ -48,10 +46,6 @@ class TrainConfig:
             raise ConfigError(f"warm_epochs must be >= 0, got {self.warm_epochs}")
         if self.init not in ("auto", "random", "warm", "ground_truth", "map"):
             raise ConfigError(f"unknown init scheme {self.init!r}")
-        if self.convergence_window < 1:
-            raise ConfigError(f"convergence_window must be >= 1, got {self.convergence_window}")
-        if not 0.0 <= self.convergence_tol < np.inf:
-            raise ConfigError(f"convergence_tol must be finite and >= 0, got {self.convergence_tol}")
 
 
 def adam_init(params):
@@ -86,14 +80,12 @@ def adam_step(params, grads, state, learning_rate, beta1=0.9, beta2=0.999, eps=1
     return new_params, {"t": t, "m": new_m, "v": new_v}
 
 
-def optimize(loss_fn, params, cfg, epochs):
+def optimize(loss_fn, params, learning_rate, epochs):
     """Minimize ``loss_fn`` over the named arrays in ``params`` by Adam.
 
-    Each epoch wraps every block of ``params`` in a fresh leaf, builds the
-    objective with ``loss_fn(leaves)``, backpropagates and takes one Adam
-    step at ``cfg.learning_rate``. The loop ends after ``epochs`` epochs, or
-    once the objective has moved by at most ``cfg.convergence_tol`` (relative
-    to max(1, |value|)) over the last ``cfg.convergence_window`` epochs.
+    Each of the ``epochs`` epochs wraps every block of ``params`` in a fresh
+    leaf, builds the objective with ``loss_fn(leaves)``, backpropagates and
+    takes one Adam step at ``learning_rate``; there is no early stop.
     ``params`` is updated in place; returns the per-epoch objective values.
 
     Raises DivergenceError on a non-finite objective, on a non-finite
@@ -102,7 +94,6 @@ def optimize(loss_fn, params, cfg, epochs):
     """
     names = list(params)
     state = adam_init([params[k] for k in names])
-    window = cfg.convergence_window
     values = []
     for epoch in range(epochs):
         leaves = {k: dc.leaf(params[k]) for k in names}
@@ -121,7 +112,7 @@ def optimize(loss_fn, params, cfg, epochs):
         grads = [leaves[k].grad if leaves[k].grad is not None else np.zeros_like(p)
                  for k, p in zip(names, current)]
         try:
-            stepped, state = adam_step(current, grads, state, cfg.learning_rate)
+            stepped, state = adam_step(current, grads, state, learning_rate)
         except DivergenceError as e:
             block = names[e.diagnostics["param_index"]]
             raise DivergenceError(
@@ -130,10 +121,6 @@ def optimize(loss_fn, params, cfg, epochs):
                 diagnostics={**e.diagnostics, "block": block, "epoch": epoch},
             ) from e
         params.update(zip(names, stepped))
-        if len(values) > window:
-            prev, cur = values[-window - 1], values[-1]
-            if abs(cur - prev) <= cfg.convergence_tol * max(1.0, abs(prev)):
-                break
     return values
 
 
@@ -291,7 +278,7 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
         # a variance phase trains the scale blocks, rho_w and rho_z
         trainable = vi_mod.BLOCKS[1::2] if phase == "variance" else vi_mod.BLOCKS
         stepped = {k: blocks[k] for k in trainable}
-        optimize(objective, stepped, train_cfg, train_cfg.epochs)
+        optimize(objective, stepped, train_cfg.learning_rate, train_cfg.epochs)
         blocks.update(stepped)
 
     q = vi_mod.MeanFieldPosterior(arch, **blocks)

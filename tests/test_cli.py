@@ -390,12 +390,23 @@ class TestTrain:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "line", ["convergence_window = 0", "convergence_window = -1", "convergence_tol = -1e-6"]
+        "line",
+        [
+            "convergence_window = 0", "convergence_window = -1", "convergence_tol = -1e-6",
+            "convergence_window = 25", "convergence_window = 26",
+        ],
     )
     def test_bad_stop_rule_is_config_error(self, tmp_path, capsys, line):
+        # the stop rule is gone: convergence_tol is an unknown key, and the retired
+        # convergence_window is accepted only above epochs (25), where the rule never fired
         cfg_path = tmp_path / "stop.cfg"
         cfg_path.write_text(TRAIN_CONFIG.format(method="BNNLV_BBB") + line + "\n")
-        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        if line == "convergence_window = 26":
+            assert code == 0
+            assert len((out / "history.csv").read_text().splitlines()) == 1 + 25
+            return
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 

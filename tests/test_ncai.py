@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from oracles import (
     rel_err,
 )
 
+train_mod = importlib.import_module("bnnlv.train")  # the package's ``train`` shadows it
 CAP = 150.0
 
 
@@ -376,7 +378,7 @@ class TestObjective:
 
         with pytest.raises(DivergenceError, match="non-finite at epoch 0"), \
                 np.errstate(invalid="ignore", over="ignore"):
-            optimize(loss, dict(zip(BLOCKS, q.params())), TrainConfig(), epochs=3)
+            optimize(loss, dict(zip(BLOCKS, q.params())), 0.01, epochs=3)
 
     def test_needs_latent_inputs(self):
         n = 6
@@ -425,6 +427,24 @@ class TestFitPointMlp:
         arch = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(), output_dim=1)
         w = fit_point_mlp(x, y, arch, learning_rate=0.05, epochs=3000, seed=0)
         assert np.allclose(w, [2.0, 1.0], atol=1e-3)
+
+    def test_runs_all_epochs_on_targets_it_fits(self, monkeypatch):
+        # targets made by the fit's own initial weights: the error is 0 from
+        # the first epoch, and the fit still runs every epoch
+        x = np.linspace(-1.0, 1.0, 12).reshape(-1, 1)
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(4,), output_dim=1)
+        w0 = dc.xavier_normal_weights(arch, np.random.default_rng(3))
+        y = mlp_forward(arch, w0, x, np.zeros((12, 1)))
+        values = []
+
+        def recording(*args):
+            values.extend(optimize(*args))
+            return values
+
+        monkeypatch.setattr(train_mod, "optimize", recording)
+        w = fit_point_mlp(x, y, arch, epochs=250, seed=3)
+        assert values == [0.0] * 250
+        assert np.array_equal(w, w0)
 
 
 class TestMapEstimate:

@@ -80,16 +80,15 @@ class TestAdam:
 
 
 class TestOptimize:
-    def test_window_rule_stops_flat_objective(self):
-        # a flat objective converges once a full window of epochs has passed
+    def test_flat_objective_runs_all_epochs(self):
+        # no early stop: an objective that never moves still runs every epoch
         params = {"a": np.zeros(2)}
-        cfg = TrainConfig(convergence_window=7, convergence_tol=0.0)
 
         def flat(leaves):
             return dc.add(dc.mul(dc.sum_(leaves["a"]), 0.0), 1.0)
 
-        values = optimize(flat, params, cfg, 100)
-        assert len(values) == 8
+        values = optimize(flat, params, 0.01, 500)
+        assert values == [1.0] * 500
 
     def test_nonfinite_gradient_names_block(self):
         # b**0.5 as exp(0.5 log b) is finite (0) at b = 0, but its derivative is not
@@ -103,7 +102,7 @@ class TestOptimize:
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
             DivergenceError, match="block b"
         ) as err:
-            optimize(loss, params, TrainConfig(), 10)
+            optimize(loss, params, 0.01, 10)
         assert err.value.diagnostics["block"] == "b"
         assert err.value.diagnostics["param_index"] == 1
         assert err.value.diagnostics["epoch"] == 0
@@ -121,26 +120,13 @@ class TestOptimize:
             return dc.neg(elbo_graph(arch, leaves, x, x, PriorConfig(), 1, 0)[0])
 
         with pytest.raises(DivergenceError) as err:
-            optimize(loss, params, TrainConfig(), 5)
+            optimize(loss, params, 0.01, 5)
         assert str(err.value) == f"variance underflowed to 0 in block {block} at epoch 0"
         assert err.value.diagnostics == {"block": block, "epoch": 0}
         assert err.value.history == []
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"convergence_window": 0},
-            {"convergence_window": -5},
-            {"convergence_tol": -1e-9},
-            {"convergence_tol": float("nan")},
-        ],
-    )
-    def test_rejects_bad_stop_rule(self, kwargs):
-        with pytest.raises(ConfigError, match="convergence"):
-            TrainConfig(**kwargs)
-
     @pytest.mark.parametrize("n_mc", [0, -1])
     def test_rejects_bad_n_mc(self, n_mc):
         # before any training: an NCAI run would otherwise finish its warm
