@@ -154,6 +154,9 @@ def parse_config(text):
             if not val.endswith("]"):
                 raise ConfigError(f"config line {lineno}: unterminated list")
             items = [s for s in (p.strip() for p in val[1:-1].split(",")) if s]
+            if not items and key in GRID_KEYS:
+                raise ConfigError(f"config line {lineno}: {key} = [] sweeps no value; "
+                                  "give it at least one")
             cfg[key] = [_parse_scalar(s) for s in items]
         else:
             cfg[key] = _parse_scalar(val)
@@ -449,9 +452,10 @@ def _read_config(args):
     return cfg
 
 
-def _run_training(cfg, seed, out_dir):
-    """Train per config, write the full run directory, return the result dict."""
-    data, arch, priors, ncai_cfg, train_cfg, method, s_eval = build_experiment(cfg, seed)
+def _run_training(cfg, experiment, seed, out_dir):
+    """Train ``build_experiment(cfg, seed)``, given as ``experiment``; write the
+    full run directory and return the result dict."""
+    data, arch, priors, ncai_cfg, train_cfg, method, s_eval = experiment
     q, fin_priors, histories, best, val_ll = train_restarts(
         data, arch, priors, ncai_cfg, train_cfg, method, seed, s_ll=s_eval
     )
@@ -547,7 +551,8 @@ def cmd_train(args):
     for key in GRID_KEYS:
         if isinstance(cfg.get(key), list):
             raise ConfigError(f"{key} is a list; sweeps run through the grid subcommand")
-    metrics = _run_training(cfg, args.seed, args.out)["metrics"]
+    experiment = build_experiment(cfg, args.seed)
+    metrics = _run_training(cfg, experiment, args.seed, args.out)["metrics"]
     return cfg, {"out": args.out, "avg_marginal_ll": metrics["avg_marginal_ll"],
                  "rmse": metrics["rmse"]}
 
@@ -654,9 +659,9 @@ def cmd_map_demo(args):
 
     def log_joint(i):  # the random starts, then the generative one
         if i < len(seeds):
-            return map_estimate(data, priors, arch, init="random", opt_cfg=opt,
+            return map_estimate(data, priors, arch, "random", opt.learning_rate, opt.epochs,
                                 seed=seeds[i]).log_joint
-        return map_estimate(data, priors, arch, init="ground_truth", opt_cfg=opt,
+        return map_estimate(data, priors, arch, "ground_truth", opt.learning_rate, opt.epochs,
                             seed=args.seed).log_joint
 
     *random_ljs, gt_lj = fork_map(log_joint, args.restarts + 1)
@@ -724,10 +729,12 @@ def cmd_decompose(args):
 def cmd_grid(args):
     cfg = _read_config(args)
     cells = expand_grid(cfg)
+    # every cell's config is checked before the first cell trains
+    experiments = [build_experiment(cell, args.seed) for cell in cells]
     summaries = []
-    for i, cell in enumerate(cells):
+    for i, (cell, experiment) in enumerate(zip(cells, experiments)):
         cell_dir = os.path.join(args.out, f"cell_{i:03d}")
-        result = _run_training(cell, args.seed, cell_dir)
+        result = _run_training(cell, experiment, args.seed, cell_dir)
         _write_manifest(cell_dir, "grid-cell", cell, args.seed)
         summaries.append(
             {

@@ -10,10 +10,12 @@ class CsvParseError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Optimization produced a non-finite objective or gradient.
+    """Optimization produced a non-finite objective, gradient or variance.
 
     Carries whatever history was accumulated before the failure so callers
-    can inspect the trajectory.
+    can inspect the trajectory, and ``diagnostics``: for a failure inside
+    ``train.optimize``, the ``epoch`` and, where one block is at fault, the
+    ``block`` name.
     """
 
     def __init__(self, message, history=None, diagnostics=None):

@@ -335,11 +335,14 @@ def _js_to_prior(q_w, priors, seed):
         idx = r.integers(0, n, size=m)
         return mu_z[idx] + sigma_z[idx] * r.standard_normal((m, kdim))
 
-    return js_divergence_mc(
-        lambda pts: aggregated_posterior_logpdf(q_w, pts),
-        sample_agg,
-        log_prior,
-        sample_prior,
-        s=2000,
-        seed=seed,
-    )
+    # a zero latent scale (an underflowed softplus) makes the mixture density
+    # and so the divergence NaN, which the report's writer rejects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return js_divergence_mc(
+            lambda pts: aggregated_posterior_logpdf(q_w, pts),
+            sample_agg,
+            log_prior,
+            sample_prior,
+            s=2000,
+            seed=seed,
+        )

@@ -248,27 +248,21 @@ def fit_point_mlp(x, y, arch, learning_rate=0.01, epochs=2000, seed=0):
     return params["w"]
 
 
-def warm_start(data, arch, opt_cfg, seed):
+def warm_start(data, arch, learning_rate, epochs, seed):
     """Two-stage initialization for the constrained method.
 
-    Fits a deterministic net on x alone (latent inputs clamped to zero),
-    copies its weights into the weight means except the latent-input
-    weights which are re-drawn at layer scale, zeroes the latent means,
-    and draws every scale parameter at layer scale.
+    Fits a deterministic net on x alone (latent inputs clamped to zero) by
+    ``epochs`` epochs of Adam at ``learning_rate``, copies its weights into
+    the weight means except the latent-input weights which are re-drawn at
+    layer scale, zeroes the latent means, and draws every scale parameter at
+    layer scale.
     """
     if arch.input_dim_z == 0:
         raise ConfigError("warm start needs latent inputs (input_dim_z >= 1)")
     view = data.view("train")
     rng = np.random.default_rng(seed)
     fit_seed = int(rng.integers(0, 2**32))
-    mu_w = fit_point_mlp(
-        view.x,
-        view.y,
-        arch,
-        learning_rate=opt_cfg.learning_rate,
-        epochs=opt_cfg.warm_epochs,
-        seed=fit_seed,
-    )
+    mu_w = fit_point_mlp(view.x, view.y, arch, learning_rate, epochs, fit_seed)
     mask = arch.z_weight_mask()
     first_std = dc.xavier_std(arch.input_dim, arch.layer_dims[1])
     mu_w = mu_w.copy()
@@ -290,16 +284,17 @@ class MapResult:
     history: np.ndarray
 
 
-def map_estimate(data, priors, arch, init="random", opt_cfg=None, seed=0):
-    """Maximize the log joint over weights and latents by Adam.
+def map_estimate(data, priors, arch, init="random", learning_rate=0.01, epochs=3000, seed=0):
+    """Maximize the log joint over weights and latents by ``epochs`` epochs of
+    Adam at ``learning_rate``.
 
     ``init`` is "random" (layer-scaled weights, latents from the prior) or
     "ground_truth" (requires stored generative weights and latents, and
-    ``arch`` equal to their architecture).
+    ``arch`` equal to their architecture). ``history`` holds the log joint
+    before each epoch and after the last.
     """
-    from .train import TrainConfig, optimize
+    from .train import optimize
 
-    opt_cfg = opt_cfg or TrainConfig()
     view = data.view("train")
     n = view.x.shape[0]
     k = arch.input_dim_z
@@ -315,7 +310,7 @@ def map_estimate(data, priors, arch, init="random", opt_cfg=None, seed=0):
     params = {"w": w, "z": z}
     neg_lj = optimize(
         lambda leaves: dc.neg(log_joint(arch, leaves["w"], leaves["z"], view, priors)),
-        params, opt_cfg.learning_rate, opt_cfg.epochs,
+        params, learning_rate, epochs,
     )
     final = float(log_joint(arch, params["w"], params["z"], view, priors))
     history = np.array([-v for v in neg_lj] + [final])

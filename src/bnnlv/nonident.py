@@ -86,7 +86,9 @@ def t_diag_layer_spec(w_z, diag):
     d = w_z.shape[1]
     if diag.shape != (d,):
         raise ValueError(f"t must have {d} entries")
-    return LayerTransformSpec(s=np.ones(d), u=np.zeros(d), r=w_z / diag, t=np.diag(diag))
+    with np.errstate(over="ignore"):  # an overflowed R is inf, which callers check for
+        r = w_z / diag
+    return LayerTransformSpec(s=np.ones(d), u=np.zeros(d), r=r, t=np.diag(diag))
 
 
 def layer_transform(weights, spec, x, z):
@@ -215,13 +217,15 @@ def bias_probability(transform, n_values, trials, priors, mu_x, sigma2_x, seed):
                 if np.all(np.isfinite(spec.r)):
                     net = SingleLayerWeights(w_x, w_z, np.zeros(h), np.zeros((h, 1)), np.zeros(1))
                     moved, z_hat = layer_transform(net, spec, x, z)
-                    weight_gap = (
-                        np.sum(w_x**2) - np.sum(moved.w_x**2)
-                        + np.sum(w_z**2) - np.sum(moved.w_z**2)
-                    ) / (2.0 * s2w)
+                    with np.errstate(over="ignore"):  # the finite check below catches it
+                        weight_gap = (
+                            np.sum(w_x**2) - np.sum(moved.w_x**2)
+                            + np.sum(w_z**2) - np.sum(moved.w_z**2)
+                        ) / (2.0 * s2w)
                 else:  # R overflowed, so its square takes the weight gap to -inf
                     weight_gap, z_hat = -np.inf, z
-            latent_gap = float(np.sum(z * z - z_hat * z_hat) / (2.0 * s2z))
+            with np.errstate(over="ignore"):  # the finite check below catches it
+                latent_gap = float(np.sum(z * z - z_hat * z_hat) / (2.0 * s2z))
             gaps[trial] = weight_gap + latent_gap
             # finite moments can still overflow the squares; no later trial mends that
             if not np.isfinite(gaps[trial]):

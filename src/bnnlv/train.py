@@ -42,7 +42,7 @@ class TrainConfig:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.n_mc < 1:
             raise ConfigError(f"n_mc must be >= 1, got {self.n_mc}")
-        if self.warm_epochs < 0:  # 0 is a warm start with no fit
+        if self.warm_epochs < 0:  # 0 is a warm or MAP start with no fit
             raise ConfigError(f"warm_epochs must be >= 0, got {self.warm_epochs}")
         if self.init not in ("auto", "random", "warm", "ground_truth", "map"):
             raise ConfigError(f"unknown init scheme {self.init!r}")
@@ -60,13 +60,9 @@ def adam_init(params):
 def adam_step(params, grads, state, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update; returns (new params, new state).
 
-    Raises on a non-finite gradient, naming the offending parameter block.
+    The gradients are taken as given: ``optimize`` checks them for non-finite
+    values before it steps.
     """
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(
-                f"non-finite gradient in parameter block {i}", diagnostics={"param_index": i}
-            )
     t = state["t"] + 1
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
@@ -89,8 +85,9 @@ def optimize(loss_fn, params, learning_rate, epochs):
     ``params`` is updated in place; returns the per-epoch objective values.
 
     Raises DivergenceError on a non-finite objective, on a non-finite
-    gradient, naming the block, or on a DivergenceError of ``loss_fn``,
-    whose message and diagnostics gain the epoch.
+    gradient, naming the first such block in ``params`` order, or on a
+    DivergenceError of ``loss_fn``, whose message and diagnostics gain the
+    epoch.
     """
     names = list(params)
     state = adam_init([params[k] for k in names])
@@ -108,18 +105,16 @@ def optimize(loss_fn, params, learning_rate, epochs):
                                   history=values, diagnostics={"epoch": epoch})
         dc.backward(obj)
         values.append(value)
-        current = [params[k] for k in names]
-        grads = [leaves[k].grad if leaves[k].grad is not None else np.zeros_like(p)
-                 for k, p in zip(names, current)]
-        try:
-            stepped, state = adam_step(current, grads, state, learning_rate)
-        except DivergenceError as e:
-            block = names[e.diagnostics["param_index"]]
-            raise DivergenceError(
-                f"non-finite gradient in block {block} at epoch {epoch}",
-                history=values,
-                diagnostics={**e.diagnostics, "block": block, "epoch": epoch},
-            ) from e
+        grads = []
+        for k in names:
+            g = leaves[k].grad
+            if g is None:  # a block the objective does not depend on
+                g = np.zeros_like(params[k])
+            elif not np.all(np.isfinite(g)):
+                raise DivergenceError(f"non-finite gradient in block {k} at epoch {epoch}",
+                                      history=values, diagnostics={"block": k, "epoch": epoch})
+            grads.append(g)
+        stepped, state = adam_step([params[k] for k in names], grads, state, learning_rate)
         params.update(zip(names, stepped))
     return values
 
@@ -167,8 +162,8 @@ def _eb_variance(mu, var, block, alpha, beta):
 class TrainHistory:
     """Per-epoch trace of the objective and its pieces, one list per history.csv column.
 
-    ``seed`` is the run's seed; ``train_restarts`` sets ``score``, the run's
-    validation score.
+    ``seed`` is the run's seed; ``train`` sets ``priors``, the priors the run
+    ended on, and ``train_restarts`` sets ``score``, the run's validation score.
     """
 
     COLUMNS = ("epoch", "phase", "objective", "elbo", "hz", "offdiag", "pc_x", "pc_y", "s_w", "s_z")
@@ -176,6 +171,7 @@ class TrainHistory:
     def __init__(self, seed):
         self.columns = {name: [] for name in self.COLUMNS}
         self.seed = seed
+        self.priors = None
         self.score = None
 
     def append(self, objective, parts, priors, phase):
@@ -199,14 +195,6 @@ class TrainHistory:
         return zip(*self.columns.values())
 
 
-def final_priors(priors, history):
-    """Priors with the variances the empirical-Bayes schedule ended on."""
-    if not len(history):
-        return priors
-    cols = history.columns
-    return replace(priors, sigma2_w=cols["s_w"][-1], sigma2_z=cols["s_z"][-1])
-
-
 def _init_posterior(data, arch, priors, train_cfg, method, rng):
     scheme = train_cfg.init
     if scheme == "auto":
@@ -214,20 +202,18 @@ def _init_posterior(data, arch, priors, train_cfg, method, rng):
     n = len(data.view("train").x)
     if scheme == "random":
         return vi_mod.random_init(arch, n, int(rng.integers(0, 2**32))), scheme
+    # a warm start and a MAP start fit warm_epochs epochs at the run's learning rate
+    lr, fit_epochs = train_cfg.learning_rate, train_cfg.warm_epochs
     if scheme == "warm":
-        return ncai_mod.warm_start(data, arch, train_cfg, int(rng.integers(0, 2**32))), scheme
-    if scheme in ("ground_truth", "map"):
-        if scheme == "map":
-            map_cfg = replace(train_cfg, epochs=max(train_cfg.warm_epochs, 1))
-            res = ncai_mod.map_estimate(
-                data, priors, arch, init="random", opt_cfg=map_cfg, seed=int(rng.integers(0, 2**32))
-            )
-            w0, z0 = res.w, res.z
-        else:
-            w0, z0 = data.ground_truth(arch)
-        q = vi_mod.random_init(arch, n, int(rng.integers(0, 2**32)))
-        return replace(q, mu_w=w0, mu_z=z0), scheme
-    raise ConfigError(f"unknown init scheme {scheme!r}")
+        return ncai_mod.warm_start(data, arch, lr, fit_epochs, int(rng.integers(0, 2**32))), scheme
+    if scheme == "map":
+        res = ncai_mod.map_estimate(data, priors, arch, "random", lr, fit_epochs,
+                                    seed=int(rng.integers(0, 2**32)))
+        w0, z0 = res.w, res.z
+    else:  # ground_truth
+        w0, z0 = data.ground_truth(arch)
+    q = vi_mod.random_init(arch, n, int(rng.integers(0, 2**32)))
+    return replace(q, mu_w=w0, mu_z=z0), scheme
 
 
 def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
@@ -282,6 +268,7 @@ def train(data, arch, priors, ncai_cfg, train_cfg, method, seed):
         blocks.update(stepped)
 
     q = vi_mod.MeanFieldPosterior(arch, **blocks)
+    history.priors = priors
     return q, history
 
 
@@ -303,22 +290,21 @@ def train_restarts(data, arch, priors, ncai_cfg, train_cfg, method, seed, s_ll=2
 
     Each restart is trained and scored as one job, and the jobs run through
     ``fork_map``; the result does not depend on how many processes ran them.
-    Each history carries its restart's ``seed`` and ``score``.
+    Each history carries its restart's ``seed``, final ``priors`` and ``score``.
     """
     seeds = [int(ss.generate_state(1)[0])
              for ss in np.random.SeedSequence(seed).spawn(train_cfg.restarts)]
 
     def job(i):
         q, history = train(data, arch, priors, ncai_cfg, train_cfg, method, seeds[i])
-        history.score = restart_select(q, final_priors(priors, history), data,
-                                       s_ll=s_ll, seed=seed)
+        history.score = restart_select(q, history.priors, data, s_ll=s_ll, seed=seed)
         return q, history
 
     results = fork_map(job, len(seeds))
     scores = [h.score for _, h in results]
     best = int(np.argmax(scores))
     q, history = results[best]
-    return q, final_priors(priors, history), [h for _, h in results], best, scores[best]
+    return q, history.priors, [h for _, h in results], best, scores[best]
 
 
 def _usable_cpus():

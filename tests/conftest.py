@@ -31,7 +31,7 @@ def diverging_restart(monkeypatch):
             if args[-1] == diverging:
                 raise DivergenceError("non-finite gradient in block mu_z at epoch 2",
                                       history=[3.0, 2.0],
-                                      diagnostics={"param_index": 2, "block": "mu_z", "epoch": 2})
+                                      diagnostics={"block": "mu_z", "epoch": 2})
             return real_train(*args)
 
         monkeypatch.setattr(train_mod, "train", train_diverging)

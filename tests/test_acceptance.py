@@ -142,11 +142,11 @@ def test_c03_map_overfits_past_ground_truth():
         data.gt_arch, data.w_true, data.z_true[data.train_idx], train_view, priors
     )
 
-    opt = TrainConfig(epochs=3000, restarts=1, learning_rate=0.01)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(0).spawn(10)]
 
     def random_start(i):
-        fit = map_estimate(data, priors, data.gt_arch, init="random", opt_cfg=opt, seed=seeds[i])
+        fit = map_estimate(data, priors, data.gt_arch, init="random", learning_rate=0.01,
+                           epochs=3000, seed=seeds[i])
         return len(fit.history) - 1, fit.log_joint
 
     starts = fork_map(random_start, len(seeds))

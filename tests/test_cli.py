@@ -94,6 +94,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="empty"):
             parse_config("epochs =\n")
 
+    @pytest.mark.parametrize("key", cli.GRID_KEYS)
+    def test_empty_sweep_list(self, key):
+        with pytest.raises(ConfigError, match=f"config line 2: {key} = \\[\\] sweeps no value"):
+            parse_config(f"epochs = 5\n{key} = [ ]\n")
+
 
 def test_every_field_is_a_key():
     field_names = {f.name for cls in (PriorConfig, NcaiConfig, TrainConfig) for f in fields(cls)}
@@ -1167,6 +1172,16 @@ class TestGrid:
         scores = [c["val_avg_marginal_ll"] for c in summary["cells"]]
         assert scores[summary["best"]] == max(scores)
         assert summary["best_config"]["lambda2"] in (0, 10)
+
+    @pytest.mark.parametrize("sweep", ["n_mc = [1, 0]", "learning_rate = [0.01, -1]",
+                                       "lambda1 = []"])
+    def test_every_cell_is_checked_before_training(self, tmp_path, capsys, monkeypatch, sweep):
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(TRAIN_CONFIG.format(method="NCAI") + sweep + "\n")
+        out = tmp_path / "gr"
+        code = main(["grid", "--config", str(cfg_path), "--out", str(out)])
+        _assert_config_error(code, capsys, out)  # no cell_000 either
 
     def test_too_few_eval_samples_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)

@@ -23,7 +23,7 @@ from bnnlv.ncai import (
     smooth_exp,
     warm_start,
 )
-from bnnlv.train import TrainConfig, optimize
+from bnnlv.train import optimize
 from bnnlv.vi import BLOCKS, _train_inputs, elbo, random_init
 from oracles import (
     composite_hz_statistic,
@@ -404,8 +404,7 @@ class TestWarmStart:
             x=x, y=np.sin(2.0 * np.pi * x), train_idx=list(range(60)), val_idx=[], test_idx=[]
         )
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(20,), output_dim=1)
-        cfg = TrainConfig(learning_rate=0.02, warm_epochs=1500)
-        q = warm_start(data, arch, cfg, seed=0)
+        q = warm_start(data, arch, learning_rate=0.02, epochs=1500, seed=0)
         assert np.all(q.mu_z == 0.0)
         assert q.rho_z.shape == (60, 1)
         view = data.view("train")
@@ -417,7 +416,7 @@ class TestWarmStart:
         data = gen_synthetic("heavy_tail", seed=0, sizes=(10, 0, 0))
         arch = Architecture(input_dim_x=1, input_dim_z=0, hidden_layers=(4,), output_dim=1)
         with pytest.raises(ConfigError):
-            warm_start(data, arch, TrainConfig(), seed=0)
+            warm_start(data, arch, learning_rate=0.01, epochs=2000, seed=0)
 
 
 class TestFitPointMlp:
@@ -452,20 +451,27 @@ class TestMapEstimate:
         data = gen_synthetic("heavy_tail", seed=1, sizes=(30, 0, 0))
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
         priors = PriorConfig(sigma2_eps=0.1)
-        cfg = TrainConfig(epochs=800, learning_rate=0.02)
-        res = map_estimate(data, priors, arch, init="random", opt_cfg=cfg, seed=0)
+        res = map_estimate(data, priors, arch, init="random", learning_rate=0.02, epochs=800,
+                           seed=0)
         assert res.log_joint > res.history[0]
-        more = map_estimate(
-            data, priors, arch, init="random",
-            opt_cfg=TrainConfig(epochs=1100, learning_rate=0.02), seed=0,
-        )
+        more = map_estimate(data, priors, arch, init="random", learning_rate=0.02, epochs=1100,
+                            seed=0)
         assert more.log_joint == pytest.approx(res.log_joint, abs=2.0)
+
+    @pytest.mark.parametrize("epochs", [0, 5])
+    def test_runs_exactly_its_epochs(self, epochs):
+        # the log joint before each epoch, then after the last
+        data = gen_synthetic("heavy_tail", seed=1, sizes=(12, 0, 0))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        res = map_estimate(data, PriorConfig(sigma2_eps=0.1), arch, epochs=epochs, seed=0)
+        assert len(res.history) == epochs + 1
+        assert res.history[-1] == res.log_joint
 
     def test_ground_truth_init(self):
         data = gen_synthetic("heavy_tail", seed=2, sizes=(20, 0, 0), distill=True)
         priors = PriorConfig(sigma2_w=10.0, sigma2_eps=0.1)
-        cfg = TrainConfig(epochs=50, learning_rate=0.005)
-        res = map_estimate(data, priors, data.gt_arch, init="ground_truth", opt_cfg=cfg, seed=0)
+        res = map_estimate(data, priors, data.gt_arch, init="ground_truth", learning_rate=0.005,
+                           epochs=50, seed=0)
         assert res.log_joint >= res.history[0] - 1e-6
 
     def test_ground_truth_init_needs_stored_weights(self):
@@ -494,4 +500,4 @@ class TestMapEstimate:
         arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
         priors = PriorConfig(sigma2_eps=1e-320)
         with pytest.raises(DivergenceError):
-            map_estimate(data, priors, arch, init="random", opt_cfg=TrainConfig(epochs=5), seed=0)
+            map_estimate(data, priors, arch, init="random", epochs=5, seed=0)

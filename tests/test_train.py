@@ -71,13 +71,6 @@ class TestAdam:
             w_ref = w_ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
             assert np.allclose(w, w_ref, atol=1e-10)
 
-    def test_nonfinite_gradient_names_block(self):
-        w = np.array([1.0])
-        state = adam_init([w, w])
-        with pytest.raises(DivergenceError) as err:
-            adam_step([w, w], [np.zeros(1), np.array([np.nan])], state, 0.1)
-        assert err.value.diagnostics["param_index"] == 1
-
 
 class TestOptimize:
     def test_flat_objective_runs_all_epochs(self):
@@ -103,9 +96,8 @@ class TestOptimize:
             DivergenceError, match="block b"
         ) as err:
             optimize(loss, params, 0.01, 10)
-        assert err.value.diagnostics["block"] == "b"
-        assert err.value.diagnostics["param_index"] == 1
-        assert err.value.diagnostics["epoch"] == 0
+        assert str(err.value) == "non-finite gradient in block b at epoch 0"
+        assert err.value.diagnostics == {"block": "b", "epoch": 0}
         assert err.value.history == [2.0]
 
     @pytest.mark.parametrize("block", ["rho_w", "rho_z"])
@@ -276,6 +268,9 @@ class TestTrain:
         assert h.columns["s_z"][-1] != 5.0
         assert h.columns["s_w"][-1] != 5.0
         assert min(h.columns["s_z"]) > 0.0 and min(h.columns["s_w"]) > 0.0
+        # the run ends on its last epoch's variances
+        assert h.priors.sigma2_w == h.columns["s_w"][-1]
+        assert h.priors.sigma2_z == h.columns["s_z"][-1]
 
     def test_ground_truth_init_runs_variance_phase_first(self):
         data = gen_synthetic("heavy_tail", seed=3, sizes=(12, 0, 0), distill=True)
@@ -307,6 +302,23 @@ class TestTrain:
         for a, b in zip(qa.params(), qb.params()):
             assert np.array_equal(a, b)
         assert ha.columns == hb.columns
+
+    @pytest.mark.parametrize("warm_epochs", [0, 3])
+    def test_map_start_fits_warm_epochs(self, monkeypatch, warm_epochs):
+        # 0 means no fit: the start keeps the MAP fit's initial means
+        fits = []
+        real_map = train_mod.ncai_mod.map_estimate
+
+        def recording(*args, **kwargs):
+            fits.append(real_map(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(train_mod.ncai_mod, "map_estimate", recording)
+        data = gen_synthetic("depeweg", seed=6, sizes=(12, 0, 0))
+        arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(3,), output_dim=1)
+        cfg = TrainConfig(epochs=2, restarts=1, warm_epochs=warm_epochs, init="map")
+        train(data, arch, PriorConfig(), NcaiConfig(), cfg, "NCAI", seed=2)
+        assert [len(fit.history) - 1 for fit in fits] == [warm_epochs]
 
     @pytest.mark.parametrize(
         "method, hidden", [("NCAI", (10,)), ("BNN", (50,))], ids=["hidden", "bnn"]
@@ -442,7 +454,7 @@ class TestRestarts:
         for e in errors.values():
             assert str(e) == "non-finite gradient in block mu_z at epoch 2"
             assert e.history == [3.0, 2.0]
-            assert e.diagnostics == {"param_index": 2, "block": "mu_z", "epoch": 2}
+            assert e.diagnostics == {"block": "mu_z", "epoch": 2}
 
 
 class TestForkMap:
