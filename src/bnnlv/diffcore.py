@@ -14,7 +14,10 @@ An op computes ``out`` from its operands' values and returns
 ``_op(name, out, (operand, vjp), ...)`` with one pair per operand, where
 ``vjp`` maps the gradient of ``out`` to that operand's gradient. ``_op``
 puts only the Node operands on the tape, and returns ``out`` itself when
-there are none.
+there are none. Besides the elementwise ops, reductions and ``matmul``,
+the whole network is one op: ``mlp_forward`` over Node weights or latents
+is a single ``"mlp"`` node that keeps each layer's input, and one backward
+pass over its layers serves the VJPs of both operands.
 """
 from __future__ import annotations
 
@@ -146,21 +149,6 @@ def softplus(a):
     return _op("softplus", out, (a, lambda g, o=out: g * -np.expm1(-o)))
 
 
-def leaky_relu(a, alpha=0.01):
-    """Piecewise-linear activation x -> max(x, alpha*x) for 0 < alpha < 1.
-
-    The subgradient at exactly zero is taken from the negative branch.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"leaky_relu slope must lie in (0, 1), got {alpha}")
-    av = _val(a)
-    # equal, also at -0.0 and NaN, to where(x > 0, x, alpha*x) and its slope
-    # where(x > 0, 1, alpha), and several times faster
-    out = np.multiply(av, alpha, out=np.empty_like(av))
-    np.maximum(av, out, out=out)
-    return _op("leaky_relu", out, (a, lambda g, x=av: g * np.maximum(x > 0.0, alpha)))
-
-
 def _matmul(a, b):
     """``np.matmul(a, b)``; over a contracted dimension of 1 the
     product is an outer product, which a broadcast multiply computes faster
@@ -185,36 +173,6 @@ def matmul(a, b):
 
 def transpose(a):
     return _op("transpose", _val(a).T, (a, lambda g: g.T))
-
-
-def take(a, key):
-    """Slice or index; the backward pass scatter-adds into the source shape."""
-    av = _val(a)
-
-    def vjp(g, shape=av.shape, key=key):
-        z = np.zeros(shape)
-        np.add.at(z, key, g)
-        return z
-
-    return _op("take", av[key], (a, vjp))
-
-
-def reshape(a, shape):
-    av = _val(a)
-    return _op("reshape", av.reshape(shape), (a, lambda g, s=av.shape: g.reshape(s)))
-
-
-def concat(parts, axis=0):
-    vals = [_val(p) for p in parts]
-    out = np.concatenate(vals, axis=axis)
-    pairs, offset = [], 0
-    for p, v in zip(parts, vals):
-        width = v.shape[axis]
-        sl = [slice(None)] * out.ndim
-        sl[axis] = slice(offset, offset + width)
-        pairs.append((p, lambda g, sl=tuple(sl): g[sl]))
-        offset += width
-    return _op("concat", out, *pairs)
 
 
 def sum_(a, axis=None, keepdims=False):
@@ -393,6 +351,32 @@ def _prep_inputs(arch, x, z, lead):
     return x, z
 
 
+def _mlp_backward(arch, wv, inputs, g, need_w, need_z):
+    """Gradients of the "mlp" op for the upstream gradient ``g``, in one pass
+    over the layers: (flat weight gradient or None, z gradient or None).
+
+    ``inputs`` holds each layer's input. A hidden activation is > 0 exactly
+    where its pre-activation is (also at -0.0 and NaN), so it gives the
+    slope mask. The upstream ``g`` is never written: it may be a read-only
+    broadcast view. A hidden layer's gradient is the product array of the
+    layer above, so the mask multiplies into it in place.
+    """
+    slices = arch.layer_slices()
+    lead = wv.shape[:-1]
+    gw = np.empty_like(wv) if need_w else None
+    for i in reversed(range(len(slices))):
+        w_sl, b_sl, din, dout = slices[i]
+        if i < len(slices) - 1:
+            np.multiply(g, np.maximum(inputs[i + 1] > 0.0, arch.leaky_slope), out=g)
+        if need_w:
+            gl = _matmul(np.swapaxes(inputs[i], -1, -2), g)
+            gw[..., w_sl] = gl.reshape(*lead, din * dout)
+            gw[..., b_sl] = g.sum(axis=-2)
+        if i > 0 or need_z:
+            g = _matmul(g, np.swapaxes(wv[..., w_sl].reshape(*lead, din, dout), -1, -2))
+    return gw, g[..., arch.input_dim_x :] if need_z else None
+
+
 def mlp_forward(arch, w, x, z=None):
     """Forward pass through the network described by ``arch``.
 
@@ -403,9 +387,11 @@ def mlp_forward(arch, w, x, z=None):
     (C, N, L), draw c equal to the pass on ``w[c]`` and ``z[c]`` alone.
     ``z`` is needed only when the architecture has latent inputs. ``x`` is
     a plain array; ``w`` and ``z`` may be Nodes, in which case the result
-    is a Node. With no Node operand each layer is computed in place in its
-    own product array, with the values the tape ops give; ``x``, ``w`` and
-    ``z`` are never written.
+    is one ``"mlp"`` tape node over them with a hand-derived gradient. Each
+    layer is computed in place in its own product array (matmul, ``+=``
+    bias, leaky ReLU); the tape node keeps only each layer's input, x
+    beside z and then each hidden activation. ``x``, ``w`` and ``z`` are
+    never written.
     """
     wv = _val(w)
     if wv.ndim not in (1, 2) or wv.shape[-1] != arch.param_count:
@@ -418,25 +404,29 @@ def mlp_forward(arch, w, x, z=None):
 
     if z is None:
         h = x  # a shared (N, D) operand broadcasts over the draws in matmul
-    elif lead:
-        h = concat([np.broadcast_to(x, (*lead, *x.shape)), z], axis=-1)
     else:
-        h = concat([x, z], axis=1)
+        h = np.concatenate([np.broadcast_to(x, (*lead, *x.shape)), _val(z)], axis=-1)
     slices = arch.layer_slices()
-    plain = not isinstance(w, Node) and not isinstance(z, Node)
+    tape = isinstance(w, Node) or isinstance(z, Node)
+    product = _matmul if tape else np.matmul
+    inputs = []  # the tape node's record for the backward pass
     for i, (w_sl, b_sl, din, dout) in enumerate(slices):
-        if plain:
-            h = np.matmul(h, wv[..., w_sl].reshape(*lead, din, dout))
-            h += wv[..., None, b_sl]
-            if i < len(slices) - 1:
-                np.maximum(h, h * arch.leaky_slope, out=h)  # leaky_relu's values
-            continue
-        wl = reshape(take(w, (..., w_sl)) if isinstance(w, Node) else wv[..., w_sl],
-                     (*lead, din, dout))
-        bl = take(w, (..., b_sl)) if isinstance(w, Node) else wv[..., b_sl]
-        if lead:
-            bl = reshape(bl, (*lead, 1, dout))
-        h = add(matmul(h, wl), bl)
+        if tape:
+            inputs.append(h)
+        h = product(h, wv[..., w_sl].reshape(*lead, din, dout))
+        h += wv[..., None, b_sl]
         if i < len(slices) - 1:
-            h = leaky_relu(h, arch.leaky_slope)
-    return h
+            # max(x, slope * x): equal, also at -0.0 and NaN, to
+            # where(x > 0, x, slope * x), and several times faster
+            np.maximum(h, h * arch.leaky_slope, out=h)
+    if not tape:
+        return h
+    cache = [None, None]  # the last upstream gradient and its (w, z) gradients
+
+    def grads(g):
+        if cache[0] is not g:
+            cache[:] = g, _mlp_backward(arch, wv, inputs, g, isinstance(w, Node),
+                                        isinstance(z, Node))
+        return cache[1]
+
+    return _op("mlp", h, (w, lambda g: grads(g)[0]), (z, lambda g: grads(g)[1]))

@@ -18,7 +18,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 _DRAW_CHUNK = 4  # predictive draws per forward pass in predictive_means
 
 
-@dataclass
+@dataclass(frozen=True)
 class PriorConfig:
     """Prior variances plus the inverse-gamma hyper-prior on them.
 

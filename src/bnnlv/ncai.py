@@ -30,7 +30,7 @@ _HZ_RIDGE = 1e-6  # hz_statistic's covariance ridge, relative to the mean varian
 _HZ_CHUNK = 64  # rows of the pairwise kernel hz_statistic holds at once
 
 
-@dataclass
+@dataclass(frozen=True)
 class NcaiConfig:
     """Penalty weights and exponential growth scales for the constrained objective."""
 

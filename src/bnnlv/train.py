@@ -22,7 +22,7 @@ from .exceptions import ConfigError, DivergenceError
 METHODS = ("BNN", "BNNLV_BBB", "NCAI")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and schedule settings."""
 

@@ -1,11 +1,14 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written the slow, obvious way and shares
-no code with the implementations under test, except ``composite_hz_statistic``
-and ``composite_pearson_penalty``, which compose the generic tape ops to give
-value and gradient references for the fused Henze-Zirkler and Pearson ops,
-and the per-sample ELBO and per-draw predictive loops, which run the
-single-draw forward pass once per Monte Carlo draw to check the batched paths.
+no code with the implementations under test, except ``composite_mlp_forward``,
+``composite_hz_statistic`` and ``composite_pearson_penalty``, which compose
+generic tape ops to give value and gradient references for the fused network,
+Henze-Zirkler and Pearson ops, and the per-sample ELBO and per-draw
+predictive loops, which run the single-draw forward pass once per Monte
+Carlo draw to check the batched paths. The generic ops that only these
+composites use (``take``, ``reshape``, ``concat``, ``leaky_relu`` and the
+matrix inverse) are defined here, on ``diffcore``'s ``_op``.
 The dense estimators hold every pairwise N x N (or M x N) array and check the
 k-d tree and row-chunked versions. ``point_mass`` builds the degenerate weight
 posterior that several metric tests score.
@@ -88,6 +91,70 @@ def naive_mlp_forward(dims, alpha, w, x_row):
     return np.array(h)
 
 
+def take(a, key):
+    """Slice or index; the backward pass scatter-adds into the source shape."""
+    av = dc._val(a)
+
+    def vjp(g, shape=av.shape, key=key):
+        z = np.zeros(shape)
+        np.add.at(z, key, g)
+        return z
+
+    return dc._op("take", av[key], (a, vjp))
+
+
+def reshape(a, shape):
+    av = dc._val(a)
+    return dc._op("reshape", av.reshape(shape), (a, lambda g, s=av.shape: g.reshape(s)))
+
+
+def concat(parts, axis=0):
+    vals = [dc._val(p) for p in parts]
+    out = np.concatenate(vals, axis=axis)
+    pairs, offset = [], 0
+    for p, v in zip(parts, vals):
+        width = v.shape[axis]
+        sl = [slice(None)] * out.ndim
+        sl[axis] = slice(offset, offset + width)
+        pairs.append((p, lambda g, sl=tuple(sl): g[sl]))
+        offset += width
+    return dc._op("concat", out, *pairs)
+
+
+def leaky_relu(a, alpha=0.01):
+    """Piecewise-linear activation x -> max(x, alpha*x) for 0 < alpha < 1.
+
+    The subgradient at exactly zero is taken from the negative branch.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"leaky_relu slope must lie in (0, 1), got {alpha}")
+    av = dc._val(a)
+    out = np.multiply(av, alpha, out=np.empty_like(av))
+    np.maximum(av, out, out=out)
+    return dc._op("leaky_relu", out, (a, lambda g, x=av: g * np.maximum(x > 0.0, alpha)))
+
+
+def composite_mlp_forward(arch, w, x, z=None):
+    """``diffcore.mlp_forward`` built from generic tape ops, layer by layer:
+    the weight and bias slices as ``take`` and ``reshape`` nodes, then
+    ``matmul``, ``add`` and ``leaky_relu``, with x and z joined by ``concat``."""
+    lead = dc._val(w).shape[:-1]
+    if z is None:
+        h = x
+    else:
+        h = concat([np.broadcast_to(x, (*lead, *x.shape)), z], axis=-1)
+    slices = arch.layer_slices()
+    for i, (w_sl, b_sl, din, dout) in enumerate(slices):
+        wl = reshape(take(w, (..., w_sl)), (*lead, din, dout))
+        bl = take(w, (..., b_sl))
+        if lead:
+            bl = reshape(bl, (*lead, 1, dout))
+        h = dc.add(dc.matmul(h, wl), bl)
+        if i < len(slices) - 1:
+            h = leaky_relu(h, arch.leaky_slope)
+    return h
+
+
 def naive_hz_statistic(points, ridge_rel=1e-6, ridge_floor=1e-12):
     """Double-loop Henze-Zirkler statistic for multivariate normality."""
     X = np.asarray(points, dtype=np.float64)
@@ -130,7 +197,7 @@ def composite_hz_statistic(points, ridge_rel=1e-6):
     dj = dc.sum_(dc.mul(xc, t), axis=1)
     cross = dc.matmul(t, dc.transpose(xc))
     djk = dc.add(
-        dc.add(dc.reshape(dj, (n, 1)), dc.reshape(dj, (1, n))), dc.mul(cross, -2.0)
+        dc.add(reshape(dj, (n, 1)), reshape(dj, (1, n))), dc.mul(cross, -2.0)
     )
 
     b2 = (((2 * p + 1) / 4.0) ** (1.0 / (p + 4)) * n ** (1.0 / (p + 4)) / np.sqrt(2.0)) ** 2
@@ -152,7 +219,7 @@ def composite_pearson_penalty(a, b):
     bc = dc.add(b, dc.neg(dc.mean_(b, axis=0, keepdims=True)))
     total = 0.0
     for j in range(k):
-        col = dc.take(bc, (slice(None), j))
+        col = take(bc, (slice(None), j))
         ssb = dc.sum_(dc.mul(col, col))
         if float(dc._val(ssb)) == 0.0:
             continue

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,52 +8,43 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bnnlv import diffcore as dc
+from bnnlv import vi
 from bnnlv.exceptions import ConfigError
-from oracles import finite_diff_grad, naive_mlp_forward, rel_err
+from bnnlv.model import PriorConfig
+from oracles import (composite_mlp_forward, concat, finite_diff_grad, leaky_relu,
+                     naive_mlp_forward, rel_err, reshape, take)
 
 
 class TestLeakyRelu:
+    """The generic activation op that ``composite_mlp_forward`` builds on."""
+
     def test_positive_passthrough(self):
-        assert dc.leaky_relu(np.array(2.0), 0.01) == 2.0
+        assert leaky_relu(np.array(2.0), 0.01) == 2.0
 
     def test_negative_scaled(self):
-        assert dc.leaky_relu(np.array(-1.0), 0.01) == pytest.approx(-0.01)
+        assert leaky_relu(np.array(-1.0), 0.01) == pytest.approx(-0.01)
 
     def test_gradient_negative_branch(self):
         x = dc.leaf(np.array(-1.0))
-        y = dc.leaky_relu(x, 0.01)
+        y = leaky_relu(x, 0.01)
         dc.backward(y)
         assert x.grad == pytest.approx(0.01)
 
     def test_gradient_at_zero_uses_negative_branch(self):
         x = dc.leaf(np.array(0.0))
-        y = dc.leaky_relu(x, 0.01)
+        y = leaky_relu(x, 0.01)
         dc.backward(y)
         assert x.grad == pytest.approx(0.01)
 
     def test_identity_on_positives(self):
         rng = np.random.default_rng(0)
         v = np.abs(rng.normal(size=100)) + 1e-12
-        np.testing.assert_array_equal(dc.leaky_relu(v, 0.01), v)
-
-    def test_equals_where_forms_at_signed_zero_and_nan(self):
-        alpha = 0.01
-        x = np.array([0.0, -0.0, np.nan, 1.5, -2.0, np.inf, -np.inf, 5e-324, -5e-324])
-        g = np.array([1.0, -1.0, 0.5, -0.0, 2.0, np.nan, 3.0, 1.0, -4.0])
-        leaf = dc.leaf(x)
-        out = dc.leaky_relu(leaf, alpha)
-        dc.backward(dc.sum_(dc.mul(out, g)))
-        for got, want in (
-            (out.value, np.where(x > 0.0, x, alpha * x)),
-            (leaf.grad, g * np.where(x > 0.0, 1.0, alpha)),
-        ):
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_array_equal(leaky_relu(v, 0.01), v)
 
     def test_bad_slope_rejected(self):
         for alpha in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
-                dc.leaky_relu(np.array(1.0), alpha)
+                leaky_relu(np.array(1.0), alpha)
 
 
 class TestNode:
@@ -106,12 +99,12 @@ class TestBackward:
         x0 = rng.normal(size=6)
 
         def f(x):
-            a = dc.take(x, slice(None, 3))
-            b = dc.take(x, slice(3, None))
+            a = take(x, slice(None, 3))
+            b = take(x, slice(3, None))
             bb = dc.mul(b, b)
             n = dc.add(dc.sum_(dc.mul(dc.exp(a), b)), dc.sum_(dc.log(dc.add(bb, 1.0))))
             n = dc.add(n, dc.sum_(dc.mul(dc.softplus(a), dc.sqrt(dc.add(bb, 0.5)))))
-            m = dc.reshape(x, (2, 3))
+            m = reshape(x, (2, 3))
             # a Node denominator of shape (1, 3), broadcast over the rows
             denom = dc.add(dc.mean_(dc.mul(m, m), axis=0, keepdims=True), 1.0)
             return dc.add(n, dc.sum_(dc.div(m, denom)))
@@ -127,7 +120,7 @@ class TestBackward:
         m0 = rng.normal(size=9)
 
         def f(flat):
-            M = dc.reshape(flat, (3, 3)) if isinstance(flat, dc.Node) else flat.reshape(3, 3)
+            M = reshape(flat, (3, 3)) if isinstance(flat, dc.Node) else flat.reshape(3, 3)
             A = dc.add(dc.matmul(dc.transpose(M), M), np.eye(3) * 2.0)
             return dc.add(dc.sum_(dc.mul(A, A)), dc.sum_(dc.absolute(M)))
 
@@ -139,9 +132,9 @@ class TestBackward:
     def test_take_and_concat_gradients(self):
         v0 = np.arange(6.0)
         leaf = dc.leaf(v0)
-        a = dc.take(leaf, slice(0, 3))
-        b = dc.take(leaf, slice(3, 6))
-        both = dc.concat([dc.mul(a, 2.0), dc.mul(b, 3.0)], axis=0)
+        a = take(leaf, slice(0, 3))
+        b = take(leaf, slice(3, 6))
+        both = concat([dc.mul(a, 2.0), dc.mul(b, 3.0)], axis=0)
         out = dc.sum_(dc.mul(both, np.arange(6.0)))
         dc.backward(out)
         expected = np.concatenate([2.0 * np.arange(3.0), 3.0 * np.arange(3.0, 6.0)])
@@ -184,7 +177,7 @@ class TestSoftplusGradient:
 # multiply. Its values equal matmul's (== below). The one difference in bits
 # is the sign of an exact zero: a zero product comes out -0.0 where matmul's
 # sum gives +0.0. The tape cannot see it: a product entry reaches the loss
-# only through sums, products, leaky_relu and squares, which keep every
+# only through sums, products, leaky ReLUs and squares, which keep every
 # nonzero result and every magnitude whatever a zero's sign; and Adam's
 # moments start at +0.0, so a -0.0 gradient entry takes the same step.
 _OUTER_SHAPES = [((256, 1), (1, 750)), ((256, 1), (1, 3000)), ((16, 300, 1), (16, 1, 50)),
@@ -422,6 +415,122 @@ class TestMlpForward:
             dc.mlp_forward(arch, np.zeros((2, 2, arch.param_count)), np.ones((4, 2)), None)
 
 
+class TestMlpOp:
+    """The network as one "mlp" tape node, against ``composite_mlp_forward``:
+    the same layers built from ``take``, ``reshape``, ``matmul``, ``add``,
+    ``leaky_relu`` and ``concat`` nodes."""
+
+    @staticmethod
+    def _run(forward, arch, w, x, z, nodes, root=None):
+        lw = dc.leaf(w) if "w" in nodes else w
+        lz = dc.leaf(z) if "z" in nodes else z
+        out = forward(arch, lw, x, lz)
+        dc.backward(root(out) if root else dc.sum_(out))
+        return out, getattr(lw, "grad", None), getattr(lz, "grad", None)
+
+    @given(data=st.data())
+    def test_equals_composite(self, data):
+        # values and z-gradients equal, signs of zero included; the weight
+        # gradient only ==-equal: the composite's scatter into np.zeros turns
+        # -0.0 into +0.0
+        k = data.draw(st.integers(0, 2))
+        arch = dc.Architecture(
+            input_dim_x=data.draw(st.integers(1, 2)), input_dim_z=k,
+            hidden_layers=data.draw(st.lists(st.integers(1, 4), max_size=2)),
+            output_dim=data.draw(st.integers(1, 2)), leaky_slope=0.2,
+        )
+        lead = data.draw(st.sampled_from([(), (1,), (3,)]))
+        nodes = data.draw(st.sampled_from(["w", "z", "wz"] if k else ["w"]))
+        n = data.draw(st.integers(1, 4))
+        entries = st.floats(-3.0, 3.0) | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+        w = data.draw(hnp.arrays(np.float64, (*lead, arch.param_count), elements=entries))
+        x = data.draw(hnp.arrays(np.float64, (n, arch.input_dim_x), elements=entries))
+        z = data.draw(hnp.arrays(np.float64, (*lead, n, k), elements=entries)) if k else None
+        up = data.draw(hnp.arrays(np.float64, (*lead, n, arch.output_dim), elements=entries))
+        with np.errstate(all="ignore"):
+            got, want = (self._run(f, arch, w, x, z, nodes, lambda o: dc.sum_(dc.mul(o, up)))
+                         for f in (dc.mlp_forward, composite_mlp_forward))
+        assert got[0].op == "mlp"
+        for i, (g, m) in enumerate(zip(got, want)):
+            g, m = dc._val(g), dc._val(m)
+            assert g.shape == m.shape and np.array_equal(g, m, equal_nan=True)
+            if i != 1:
+                assert np.array_equal(np.signbit(g) & ~np.isnan(g), np.signbit(m) & ~np.isnan(m))
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(31)
+        arch = dc.Architecture(input_dim_x=2, input_dim_z=1, hidden_layers=(4, 3), output_dim=2)
+        W = rng.normal(size=(3, arch.param_count))
+        X = rng.normal(size=(5, 2))
+        Z = rng.normal(size=(3, 5, 1))
+        _assert_grads_match_fd(lambda w, z: dc.mlp_forward(arch, w, X, z), W, Z)
+
+    def test_activation_equals_where_forms_at_signed_zero_and_nan(self):
+        # draw c has one hidden unit with pre-activation x[c] (input 1,
+        # weight x[c], bias -0.0) and hands it to the output unchanged
+        # (weight 1, bias -0.0); the first weight's gradient is then the
+        # upstream gradient times the activation's slope
+        alpha = 0.01
+        x = np.array([0.0, -0.0, np.nan, 1.5, -2.0, np.inf, -np.inf, 5e-324, -5e-324])
+        arch = dc.Architecture(input_dim_x=1, hidden_layers=(1,), leaky_slope=alpha)
+        w = np.stack([x, np.full(9, -0.0), np.ones(9), np.full(9, -0.0)], axis=1)
+        g = np.array([1.0, -1.0, 0.5, -0.0, 2.0, np.nan, 3.0, 1.0, -4.0])[:, None, None]
+        out, gw, _ = self._run(dc.mlp_forward, arch, w, np.ones((1, 1)), None, "w",
+                               lambda o: dc.sum_(dc.mul(o, g)))
+        for got, want in (
+            (out.value.ravel(), np.where(x > 0.0, x, alpha * x)),
+            (gw[:, 0], g.ravel() * np.where(x > 0.0, 1.0, alpha)),
+        ):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("nodes", ["w", "z", "wz"])
+    def test_one_node_and_one_layer_pass_per_backward(self, monkeypatch, nodes):
+        rng = np.random.default_rng(37)
+        arch = dc.Architecture(input_dim_x=2, input_dim_z=1, hidden_layers=(4, 3))
+        w, z = rng.normal(size=arch.param_count), rng.normal(size=(6, 1))
+        lw = dc.leaf(w) if "w" in nodes else w
+        lz = dc.leaf(z) if "z" in nodes else z
+        out = dc.mlp_forward(arch, lw, rng.normal(size=(6, 2)), lz)
+        assert out.op == "mlp"
+        assert out._parents == tuple(p for p in (lw, lz) if isinstance(p, dc.Node))
+        calls = []
+        monkeypatch.setattr(dc, "_matmul", lambda a, b, f=dc._matmul: calls.append(1) or f(a, b))
+        dc.backward(dc.sum_(out))
+        # per layer, a weight product for w and an input product, the first
+        # layer's only for z: one pass over the three layers for both operands
+        assert len(calls) == {"w": 3 + 2, "z": 3, "wz": 3 + 3}[nodes]
+
+    def test_read_only_upstream_gradient(self):
+        rng = np.random.default_rng(41)
+        arch = dc.Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=2)
+        w = rng.normal(size=(2, arch.param_count))
+        x, z = rng.normal(size=(4, 1)), rng.normal(size=(2, 4, 1))
+        got = self._run(dc.mlp_forward, arch, w, x, z, "wz")
+        assert not got[0].grad.flags.writeable  # sum_'s broadcast view
+        want = self._run(composite_mlp_forward, arch, w, x, z, "wz")
+        for g, m in zip(got, want):
+            assert np.array_equal(dc._val(g), dc._val(m))
+
+    def test_bbb_objective_memory(self):
+        # one n_mc=16 ELBO and its backward at N=300, hidden width 50: the
+        # per-layer composite peaked at 10.44 MB, this op at 6.58 MB
+        rng = np.random.default_rng(43)
+        arch = dc.Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(50,))
+        n, p = 300, arch.param_count
+        x, y = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+        leaves = {"mu_w": dc.leaf(0.3 * rng.normal(size=p)), "rho_w": dc.leaf(np.full(p, -3.0)),
+                  "mu_z": dc.leaf(rng.normal(size=(n, 1))), "rho_z": dc.leaf(np.full((n, 1), -3.0))}
+        tracemalloc.start()
+        try:
+            value, _ = vi.elbo_graph(arch, leaves, x, y, PriorConfig(), 16, 0)
+            dc.backward(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
 # Every tape op against central finite differences, over drawn shapes and
 # broadcasts. Operands of kinked or singular ops stay at least 0.25 from the
 # kink or pole, far beyond the difference step.
@@ -483,7 +592,7 @@ class TestOpsMatchFiniteDifferences:
     def test_leaky_relu(self, data):
         alpha = data.draw(st.floats(0.01, 0.99))
         a = data.draw(_arrays(data.draw(_SHAPES), _AWAY))
-        _assert_grads_match_fd(lambda v: dc.leaky_relu(v, alpha), a)
+        _assert_grads_match_fd(lambda v: leaky_relu(v, alpha), a)
 
     @pytest.mark.parametrize("name", ["sum_", "mean_"])
     @given(data=st.data())
@@ -515,13 +624,13 @@ class TestOpsMatchFiniteDifferences:
         a = data.draw(_arrays(data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))))
         rows = st.lists(st.integers(0, a.shape[0] - 1), min_size=1, max_size=6).map(np.array)
         key = data.draw(hnp.basic_indices(a.shape) | rows)  # repeated rows scatter-add
-        _assert_grads_match_fd(lambda v: dc.take(v, key), a)
+        _assert_grads_match_fd(lambda v: take(v, key), a)
 
     @given(data=st.data())
     def test_reshape(self, data):
         a = data.draw(_arrays(data.draw(_SHAPES)))
         shape = data.draw(st.sampled_from([(-1,), a.shape[::-1], (1, a.size), (a.size, 1, 1)]))
-        _assert_grads_match_fd(lambda v: dc.reshape(v, shape), a)
+        _assert_grads_match_fd(lambda v: reshape(v, shape), a)
 
     @given(data=st.data())
     def test_concat(self, data):
@@ -530,4 +639,4 @@ class TestOpsMatchFiniteDifferences:
         widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
         cut = axis % len(shape)
         parts = [data.draw(_arrays(shape[:cut] + (w,) + shape[cut + 1 :])) for w in widths]
-        _assert_grads_match_fd(lambda *ps: dc.concat(list(ps), axis=axis), *parts)
+        _assert_grads_match_fd(lambda *ps: concat(list(ps), axis=axis), *parts)

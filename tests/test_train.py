@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import multiprocessing
 import os
@@ -133,6 +134,16 @@ class TestTrainConfig:
 
     def test_zero_warm_epochs_is_allowed(self):
         assert TrainConfig(warm_epochs=0).warm_epochs == 0
+
+    @pytest.mark.parametrize("cfg, field, value", [(TrainConfig(), "init", "bogus"),
+                                                   (PriorConfig(), "sigma2_w", -1.0),
+                                                   (NcaiConfig(), "lambda1", -1.0)])
+    def test_configs_are_frozen(self, cfg, field, value):
+        # the checks hold for a config's lifetime: a change goes through replace
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, **{field: value})
 
 
 class TestEbUpdates:
