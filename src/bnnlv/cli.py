@@ -400,6 +400,14 @@ def _train_sha256(data):
     return digest.hexdigest()
 
 
+def _check_latent_rows(cfg, data, input_dim_z):
+    """A latent model needs more training rows than the report's KSG MI has neighbours, 5."""
+    if input_dim_z > 0 and len(data.train_idx) <= 5:
+        source = "sizes" if "dataset" in cfg else f"train_csv {cfg['train_csv']}"
+        raise ConfigError(f"{source} gives {len(data.train_idx)} training rows; a latent "
+                          "model needs more than 5")
+
+
 def build_experiment(cfg, seed):
     """Turn a flat config dict into (data, arch, priors, ncai_cfg, train_cfg, method, s_eval).
 
@@ -428,12 +436,7 @@ def build_experiment(cfg, seed):
 
     arch = Architecture(input_dim_x=data.input_dim, input_dim_z=cfg["latent_dim"],
                         output_dim=data.output_dim, **given(Architecture))
-    n_train = len(data.train_idx)
-    if arch.input_dim_z > 0 and n_train <= 5:
-        # the report's KSG MI needs more rows than its k = 5 neighbours; say so before training
-        source = "sizes" if "dataset" in cfg else f"train_csv {cfg['train_csv']}"
-        raise ConfigError(f"{source} gives {n_train} training rows; a latent model "
-                          "needs more than 5")
+    _check_latent_rows(cfg, data, arch.input_dim_z)
     priors, ncai_cfg, train_cfg = (cls(**given(cls)) for cls in _LIBRARY_CONFIGS)
     # a window above the epoch count is the one range where the old rule never fired
     if "convergence_window" in cfg and cfg["convergence_window"] <= train_cfg.epochs:
@@ -595,7 +598,12 @@ def cmd_evaluate(args):
     q, priors, method, record, trained_on = _load_model(args.model)
     # a distilled run's CSVs hold its distilled targets already
     cfg.update({k: v for k, v in record.items() if k != "distill" or source == "dataset"})
-    data = build_dataset(cfg, args.seed)
+    targets = {"n_targets": q.output_dim} if source == "train_csv" else {}
+    data = build_dataset({**cfg, **targets}, args.seed)
+    if (data.input_dim, data.output_dim) != (q.arch.input_dim_x, q.output_dim):
+        raise ConfigError(f"{args.model} takes {q.arch.input_dim_x} input and {q.output_dim} "
+                          f"target columns; these data have {data.input_dim} and {data.output_dim}")
+    _check_latent_rows(cfg, data, q.input_dim_z)
     # a model written without the hash, or without latents, is scored on any rows
     if trained_on is not None and q.input_dim_z > 0:
         found = _train_sha256(data)
@@ -703,6 +711,8 @@ def cmd_decompose(args):
         if record.get("standardize"):
             raise ConfigError(f"{args.model} was trained on standardized data; --x-grid "
                               "is in raw units")
+        if q_w.arch.input_dim_x != 1:  # --x-grid is one input column
+            raise ConfigError(f"{args.model} takes {q_w.arch.input_dim_x} inputs; --x-grid gives 1")
     else:
         sigma2_eps, sigma2_z, _ = LATENT_SPECS[args.dataset]
         q_w = FixedFunction(ground_truth_fn(args.dataset), input_dim_z=1, output_dim=1)

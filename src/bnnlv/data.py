@@ -9,6 +9,7 @@ network so that ground-truth weights exist.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -258,20 +259,20 @@ def load_csv(path, n_targets=1):
             raise CsvParseError(f"{path}: file is empty") from None
         width = len(header)
         if width < n_targets + 1:
-            raise CsvParseError(
-                f"{path}: need at least {n_targets + 1} columns, header has {width}"
-            )
+            raise CsvParseError(f"{path}: need at least {n_targets + 1} columns, header has {width}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != width:
-                raise CsvParseError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
-                )
+                raise CsvParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
             try:
                 rows.append([float(c) for c in row])
             except ValueError as e:
                 raise CsvParseError(f"{path}:{lineno}: {e}") from None
+            for name, cell, v in zip(header, row, rows[-1]):
+                if not math.isfinite(v):  # float() reads nan and inf
+                    raise CsvParseError(f"{path}:{lineno}: column {name!r} holds {cell!r}, "
+                                        "not a finite number")
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
     mat = np.array(rows, dtype=np.float64)

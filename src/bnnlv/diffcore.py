@@ -112,11 +112,6 @@ def div(a, b):
                (b, lambda g, n=av, d=bv, s=bv.shape: _unbroadcast(-g * n / (d * d), s)))
 
 
-def exp(a):
-    out = np.exp(_val(a))
-    return _op("exp", out, (a, lambda g, o=out: g * o))
-
-
 def log(a):
     av = _val(a)
     return _op("log", np.log(av), (a, lambda g, x=av: g / x))
@@ -132,11 +127,6 @@ def sqrt(a):
         return np.where(o == 0.0, 0.0, g * 0.5 / safe)
 
     return _op("sqrt", out, (a, vjp))
-
-
-def absolute(a):
-    av = _val(a)
-    return _op("abs", np.abs(av), (a, lambda g, x=av: g * np.sign(x)))
 
 
 def softplus(a):

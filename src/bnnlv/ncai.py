@@ -5,8 +5,8 @@ Three differentiable penalties act on the matrix of variational means
 (never on samples, never on the scales): a multivariate-normality
 statistic, the off-diagonal mass of the empirical covariance, and mean
 absolute Pearson correlation against inputs and targets. The first and
-last enter the objective through steep exponentials so they behave like
-smoothed constraints.
+last enter as hinges above their values on prior draws (exact penalties),
+so the objective is the negative ELBO wherever those constraints hold.
 """
 from __future__ import annotations
 
@@ -20,19 +20,13 @@ from .diffcore import Architecture
 from .exceptions import ConfigError
 from .model import log_joint
 
-# softened exponential: exact below the cap, linear continuation above it so
-# early degenerate states produce huge but finite values and usable gradients.
-# The cap keeps even squared gradients comfortably inside float range, which
-# second-moment optimizer accumulators need.
-_EXP_CAP = 150.0
-
 _HZ_RIDGE = 1e-6  # hz_statistic's covariance ridge, relative to the mean variance
 _HZ_CHUNK = 64  # rows of the pairwise kernel hz_statistic holds at once
 
 
 @dataclass(frozen=True)
 class NcaiConfig:
-    """Penalty weights and exponential growth scales for the constrained objective."""
+    """Penalty weights for the constrained objective: each hinge enters as lambda / eps."""
 
     lambda1: float = 1.0
     lambda2: float = 10.0
@@ -54,10 +48,17 @@ class NcaiConfig:
         return self.lambda1 == 0.0 and self.lambda2 == 0.0 and self.lambda3 == 0.0
 
 
-def smooth_exp(u):
-    if float(dc._val(u)) <= _EXP_CAP:
-        return dc.exp(u)
-    return dc.mul(dc.add(u, 1.0 - _EXP_CAP), float(np.exp(_EXP_CAP)))
+def _hinge(u):
+    """max(0, u), with a zero subgradient at u = 0 (``sqrt``'s convention)."""
+    return dc.mul(u, 1.0 if float(dc._val(u)) > 0.0 else 0.0)
+
+
+def hz_constants(n, p):
+    """(b^2, m0) of ``hz_statistic`` on n rows of p columns: the squared smoothing
+    bandwidth, and the statistic's mean under normality (Henze & Zirkler, 1990)."""
+    b2 = (((2 * p + 1) / 4.0) ** (1.0 / (p + 4)) * n ** (1.0 / (p + 4)) / np.sqrt(2.0)) ** 2
+    a = 1.0 + 2.0 * b2
+    return b2, 1.0 - a ** (-p / 2.0) * (1.0 + p * b2 / a + p * (p + 2) * b2 * b2 / (2.0 * a * a))
 
 
 def hz_statistic(points):
@@ -90,7 +91,7 @@ def hz_statistic(points):
     t = xc @ a
     dj = np.sum(xc * t, axis=1)
 
-    b2 = (((2 * p + 1) / 4.0) ** (1.0 / (p + 4)) * n ** (1.0 / (p + 4)) / np.sqrt(2.0)) ** 2
+    b2, _ = hz_constants(n, p)
     # one pass over row chunks of E = exp(-b2/2 * (d_j + d_k - 2 M_jk)), M = xc A xc^T.
     # With u = -b2/2 * d the exponent is b2 * t_j . xc_k + u_j + u_k, so a chunk's
     # exponent is one product [b2 t, 1, u] @ [xc^T; u^T; 1], every entry <= ~0.
@@ -200,23 +201,18 @@ def objective_graph(arch, leaves, x, y, priors, cfg, n_mc, seed):
     n = x.shape[0]
     mu_z = leaves["mu_z"]
     if cfg.lambda1 > 0.0:
-        hz = hz_statistic(mu_z)
-        parts["hz"] = hz
-        obj = dc.add(obj, dc.mul(smooth_exp(dc.mul(hz, 1.0 / cfg.eps_t)), cfg.lambda1 * n))
+        parts["hz"] = hz = hz_statistic(mu_z)
+        _, m0 = hz_constants(n, arch.input_dim_z)
+        obj = dc.add(obj, dc.mul(_hinge(dc.add(hz, -m0)), cfg.lambda1 * n / cfg.eps_t))
     if cfg.lambda2 > 0.0:
-        off = offdiag_penalty(mu_z)
-        parts["offdiag"] = off
+        parts["offdiag"] = off = offdiag_penalty(mu_z)
         if isinstance(off, dc.Node):  # else 0.0, at one latent column
             obj = dc.add(obj, dc.mul(off, cfg.lambda2 * n))
     if cfg.lambda3 > 0.0:
-        pc_x = pearson_penalty(x, mu_z)
-        pc_y = pearson_penalty(y, mu_z)
-        parts["pc_x"] = pc_x
-        parts["pc_y"] = pc_y
-        prod = dc.mul(
-            smooth_exp(dc.mul(pc_x, 1.0 / cfg.eps_x)), smooth_exp(dc.mul(pc_y, 1.0 / cfg.eps_y))
-        )
-        obj = dc.add(obj, dc.mul(prod, cfg.lambda3 * n))
+        tau = np.sqrt(2.0 / (np.pi * (n - 1)))  # about E|r| of two independent columns
+        for key, cols, eps in (("pc_x", x, cfg.eps_x), ("pc_y", y, cfg.eps_y)):
+            parts[key] = pc = pearson_penalty(cols, mu_z)
+            obj = dc.add(obj, dc.mul(_hinge(dc.add(pc, -tau)), cfg.lambda3 * n / eps))
     return obj, parts
 
 

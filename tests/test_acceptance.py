@@ -162,10 +162,12 @@ def test_c03_map_overfits_past_ground_truth():
 
 
 def test_c04_gradients_match_finite_differences():
-    # Penalty scales are set so the exponential terms stay O(1); with the
-    # sharp defaults the objective is dominated by huge penalty constants
-    # and central differences on unrelated coordinates cancel to zero in
-    # double precision. The analytic gradients are scale-independent.
+    # Penalty scales are set so the penalty terms stay O(1) beside the ELBO;
+    # with the sharp defaults (eps down to 0.01) they dominate the objective,
+    # and central differences on unrelated coordinates lose their digits. The
+    # analytic gradients are scale-independent. At this state the HZ hinge is
+    # inactive (HZ 0.423 < m0 0.456) and both Pearson hinges are active
+    # (pc_x 0.192 and pc_y 0.161 > tau 0.148).
     start = time.time()
     data = gen_synthetic("heavy_tail", seed=0, sizes=(30, 5, 5))
     arch = Architecture(input_dim_x=1, input_dim_z=2, hidden_layers=(8,), output_dim=1)

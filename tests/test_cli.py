@@ -118,14 +118,29 @@ def _csv_splits(tmp_path):
     return cfg
 
 
-def _latent_model(path, **extra):
-    """Write a random 25-row latent model.json to ``path``; return the path."""
-    arch = Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
+def _latent_model(path, arch=None, n_train=25, **extra):
+    """Write a random-init model.json of ``arch`` (by default one input, one latent
+    input and one target) with ``n_train`` latent rows to ``path``; return the path."""
+    arch = arch or Architecture(input_dim_x=1, input_dim_z=1, hidden_layers=(5,), output_dim=1)
     path.write_text(json.dumps({
-        "method": "NCAI", "posterior": random_init(arch, 25, seed=0).to_dict(),
+        "method": "NCAI", "posterior": random_init(arch, n_train, seed=0).to_dict(),
         "priors": {"sigma2_w": 1.0, "sigma2_z": 1.0, "sigma2_eps": 0.1}, **extra,
     }))
     return str(path)
+
+
+def _csv_flags(tmp_path, n_rows, n_inputs, n_targets):
+    """Write train/val/test CSVs of ``n_rows`` rows each; return evaluate's flags."""
+    header = [f"x{j}" for j in range(n_inputs)] + [f"y{j}" for j in range(n_targets)]
+    rng = np.random.default_rng(n_rows)
+    text = ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:.6f}" for v in row) + "\n"
+        for row in rng.standard_normal((n_rows, len(header))))
+    flags = []
+    for split in ("train", "val", "test"):
+        (tmp_path / f"{split}.csv").write_text(text)
+        flags += [f"--{split}-csv", str(tmp_path / f"{split}.csv")]
+    return flags
 
 
 class TestBuildExperiment:
@@ -521,6 +536,22 @@ class TestTrain:
         assert err["message"].startswith(f"train_csv {splits['train_csv']} gives 5 training rows")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_non_finite_csv_cell_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # bad data, not a divergence at epoch 0
+        monkeypatch.setattr("bnnlv.cli.train_restarts", _fails_if_called)
+        splits = _csv_splits(tmp_path)
+        (tmp_path / "val.csv").write_text("x0,y0\n0.5,1.0\n0.25,nan\n")
+        cfg_path = tmp_path / "csv.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in splits.items()))
+        out = tmp_path / "o"
+        code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config",
+            "message": f"{splits['val_csv']}:3: column 'y0' holds 'nan', not a finite number"}
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("n_targets", [0, -1])
     def test_n_targets_below_one_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                  n_targets):
@@ -860,6 +891,57 @@ class TestEvaluate:
         err = json.loads(capsys.readouterr().err)
         assert "latent factors" in err["message"]
 
+    def test_too_few_latent_training_rows_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the rule train states before training, stated before the report
+        model = _latent_model(tmp_path / "model.json", n_train=4)
+        flags = _csv_flags(tmp_path, 4, 1, 1)
+        monkeypatch.setattr("bnnlv.cli.compute_report", _fails_if_called)
+        out = tmp_path / "e"
+        code = main(["evaluate", "--model", model, *flags, "--samples", "100",
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and not out.exists()
+        assert err["message"] == (f"train_csv {flags[1]} gives 4 training rows; a latent "
+                                  "model needs more than 5")
+
+    @pytest.mark.parametrize("n_inputs, n_targets", [(1, 1), (3, 1), (2, 2)])
+    def test_data_widths_other_than_the_models_are_config_error(
+            self, tmp_path, capsys, monkeypatch, n_inputs, n_targets):
+        # a model of 2 inputs and 1 target; 2 inputs and 2 targets is 3 input
+        # columns and 1 target to a model that reads its own target count
+        model = _latent_model(tmp_path / "model.json", Architecture(
+            input_dim_x=2, input_dim_z=1, hidden_layers=(5,), output_dim=1), n_train=30)
+        flags = _csv_flags(tmp_path, 30, n_inputs, n_targets)
+        monkeypatch.setattr("bnnlv.cli.compute_report", _fails_if_called)
+        out = tmp_path / "e"
+        code = main(["evaluate", "--model", model, *flags, "--samples", "100",
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and not out.exists()
+        got = n_inputs + n_targets - 1
+        assert err["message"] == (f"{model} takes 2 input and 1 target columns; these data "
+                                  f"have {got} and 1")
+
+    def test_two_target_model_scores_its_own_csvs(self, tmp_path):
+        # evaluate reads as many target columns as the model has outputs
+        flags = _csv_flags(tmp_path, 30, 1, 2)
+        cfg_path = tmp_path / "two.cfg"
+        cfg_path.write_text("".join(f"{f[2:].replace('-', '_')} = {v}\n"
+                                    for f, v in zip(flags[::2], flags[1::2]))
+                            + "n_targets = 2\nhidden = [5]\nepochs = 10\nwarm_epochs = 10\n"
+                            "restarts = 1\ns_eval = 100\n")
+        run = str(tmp_path / "run")
+        assert main(["train", "--config", str(cfg_path), "--seed", "1", "--out", run]) == 0
+        eval_out = str(tmp_path / "eval")
+        assert main(["evaluate", "--model", os.path.join(run, "model.json"), *flags,
+                     "--samples", "100", "--seed", "1", "--out", eval_out]) == 0
+        with open(os.path.join(run, "result.json")) as fh:
+            trained = json.load(fh)["metrics"]
+        with open(os.path.join(eval_out, "metrics.json")) as fh:
+            assert json.load(fh) == trained
+
 
 class TestNonidentDemo:
     def test_node_gap_table(self, tmp_path):
@@ -1029,6 +1111,19 @@ class TestDecompose:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "standardized" in err["message"]
+        assert not os.path.exists(out)
+
+    def test_model_of_two_inputs_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # --x-grid is one input column
+        model = _latent_model(tmp_path / "model.json", Architecture(
+            input_dim_x=2, input_dim_z=1, hidden_layers=(5,), output_dim=1), n_train=10)
+        monkeypatch.setattr("bnnlv.cli.uncertainty_decomposition", _fails_if_called)
+        out = tmp_path / "dc"
+        code = main(["decompose", "--model", model, "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config",
+                       "message": f"{model} takes 2 inputs; --x-grid gives 1"}
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(

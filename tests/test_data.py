@@ -159,6 +159,16 @@ def test_load_csv_errors(tmp_path):
         load_csv(p3)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    # float() reads each of these; a run on them would fail later as a divergence
+    p = tmp_path / "d.csv"
+    p.write_text(f"x0,x1,y0\n1.0,2.0,3.0\n4.0,{cell},6.0\n")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}:3: column 'x1' holds {cell!r}, not a finite number"
+
+
 def test_standardize_and_back():
     data = gen_synthetic("goldberg", seed=0)
     std = standardize(data)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from bnnlv import diffcore as dc
 from bnnlv.data import DataSet, gen_synthetic, standardize
@@ -13,18 +14,19 @@ from bnnlv.model import PriorConfig
 from bnnlv.ncai import (
     _HZ_CHUNK,
     NcaiConfig,
+    _hinge,
     fit_point_mlp,
+    hz_constants,
     hz_statistic,
     map_estimate,
     ncai_objective,
     objective_graph,
     offdiag_penalty,
     pearson_penalty,
-    smooth_exp,
     warm_start,
 )
 from bnnlv.train import optimize
-from bnnlv.vi import BLOCKS, _train_inputs, elbo, random_init
+from bnnlv.vi import BLOCKS, _leaves_of, _train_inputs, elbo, elbo_graph, random_init
 from oracles import (
     composite_hz_statistic,
     composite_pearson_penalty,
@@ -34,32 +36,44 @@ from oracles import (
 )
 
 train_mod = importlib.import_module("bnnlv.train")  # the package's ``train`` shadows it
-CAP = 150.0
 
 
-class TestSmoothExp:
-    def test_exact_below_cap(self):
-        for u in (-3.0, 0.0, 2.5, CAP):
-            assert float(dc._val(smooth_exp(u))) == pytest.approx(np.exp(u), rel=1e-15)
+class TestHinge:
+    @pytest.mark.parametrize("u, value, slope", [(-0.5, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                                 (0.25, 0.25, 1.0)])
+    def test_value_and_gradient(self, u, value, slope):
+        # at the kink the subgradient is 0, as sqrt's is at 0
+        leaf = dc.leaf(np.array(u))
+        out = _hinge(leaf)
+        dc.backward(out)
+        assert float(out.value) == value and float(leaf.grad) == slope
+        assert float(_hinge(u)) == value
 
-    def test_linear_above_cap(self):
-        got = float(dc._val(smooth_exp(CAP + 2.0)))
-        assert got == pytest.approx(np.exp(CAP) * 3.0, rel=1e-12)
+    def test_nan_propagates(self):
+        assert np.isnan(float(_hinge(np.nan)))
 
-    def test_gradient_continuous_at_cap(self):
-        grads = []
-        for u in (CAP - 1e-7, CAP + 1e-7):
-            leaf = dc.leaf(np.array(u))
-            out = smooth_exp(leaf)
-            dc.backward(out)
-            grads.append(float(leaf.grad))
-        assert grads[0] == pytest.approx(grads[1], rel=1e-6)
 
-    def test_stays_finite_when_squared(self):
-        # second-moment optimizer accumulators square gradients, so even
-        # the worst-case slope has to survive squaring
-        val = float(dc._val(smooth_exp(5000.0)))
-        assert np.isfinite(val * val)
+def _tau(n):
+    return np.sqrt(2.0 / (np.pi * (n - 1)))
+
+
+class TestNullValues:
+    """The hinges sit at each statistic's mean on draws from the prior."""
+
+    @pytest.mark.parametrize("n, p, m0", [(30, 2, 0.456), (300, 1, 0.439)])
+    def test_hz_m0_is_the_mean_on_gaussian_rows(self, n, p, m0):
+        assert hz_constants(n, p)[1] == pytest.approx(m0, abs=5e-4)
+        rng = np.random.default_rng(n + p)
+        draws = [hz_statistic(rng.standard_normal((n, p))) for _ in range(500)]
+        se = np.std(draws, ddof=1) / np.sqrt(len(draws))
+        assert abs(np.mean(draws) - hz_constants(n, p)[1]) <= 3.0 * se
+
+    def test_tau_is_the_mean_abs_pearson_of_independent_columns(self):
+        n, rng = 300, np.random.default_rng(3)
+        draws = [pearson_penalty(rng.standard_normal((n, 1)), rng.standard_normal((n, 1)))
+                 for _ in range(2000)]
+        se = np.std(draws, ddof=1) / np.sqrt(len(draws))
+        assert abs(np.mean(draws) - _tau(n)) <= 3.0 * se
 
 
 def _hz_grads(pts):
@@ -361,6 +375,53 @@ class TestObjective:
             qb, data, priors, n_mc=2, seed=3
         )
         assert pen_a != pytest.approx(pen_b, rel=1e-6)
+
+    def test_inactive_hinges_leave_the_negative_elbo(self):
+        # normal quantiles in random order, with a constant, x and y projected
+        # out: HZ below its null mean and both |Pearson| terms near 0
+        n = 40
+        data, q, priors = self._setup(n)
+        view = data.view("train")
+        z = ndtri((np.arange(n) + 0.5) / n)[np.random.default_rng(0).permutation(n), None]
+        basis = np.column_stack([np.ones(n), view.x, view.y])
+        q.mu_z = z - basis @ np.linalg.lstsq(basis, z, rcond=None)[0]
+        leaves, elbo_leaves = _leaves_of(q), _leaves_of(q)
+        obj, parts = objective_graph(q.arch, leaves, view.x, view.y, priors, NcaiConfig(),
+                                     n_mc=2, seed=3)
+        assert float(parts["hz"].value) < hz_constants(n, 1)[1]
+        assert max(float(parts["pc_x"].value), float(parts["pc_y"].value)) < _tau(n)
+        neg_elbo = dc.neg(elbo_graph(q.arch, elbo_leaves, view.x, view.y, priors, 2, 3)[0])
+        assert float(obj.value) == float(neg_elbo.value)
+        dc.backward(obj)
+        dc.backward(neg_elbo)
+        for name in BLOCKS:
+            np.testing.assert_array_equal(leaves[name].grad, elbo_leaves[name].grad)
+
+    def test_active_hinges_match_finite_differences(self):
+        # latent means that are skewed and track x and y: every hinge is
+        # active, and the off-diagonal term is on at two latent columns
+        n = 30
+        data = gen_synthetic("heavy_tail", seed=0, sizes=(n, 0, 0))
+        view = data.view("train")
+        arch = Architecture(input_dim_x=1, input_dim_z=2, hidden_layers=(4,), output_dim=1)
+        q, priors, cfg = random_init(arch, n, seed=1), PriorConfig(sigma2_eps=0.1), NcaiConfig()
+        noise = 0.1 * np.random.default_rng(2).standard_normal((n, 2))
+        q.mu_z = np.column_stack([view.x[:, 0] ** 3, view.y[:, 0]]) + noise
+        leaves = _leaves_of(q)
+        obj, parts = objective_graph(arch, leaves, view.x, view.y, priors, cfg, n_mc=4, seed=5)
+        assert float(parts["hz"].value) > hz_constants(n, 2)[1]
+        assert min(float(parts["pc_x"].value), float(parts["pc_y"].value)) > _tau(n)
+        dc.backward(obj)
+        for name in BLOCKS:  # c04's step and tolerance, at every coordinate
+            arr = getattr(q, name)
+            for idx in np.ndindex(arr.shape):
+                h, orig = 1e-5 * max(1.0, abs(arr[idx])), arr[idx]
+                arr[idx] = orig + h
+                fp = ncai_objective(q, data, priors, cfg, n_mc=4, seed=5)
+                arr[idx] = orig - h
+                fm = ncai_objective(q, data, priors, cfg, n_mc=4, seed=5)
+                arr[idx] = orig
+                assert rel_err(leaves[name].grad[idx], (fp - fm) / (2.0 * h)) <= 1e-4
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_means_diverge_at_one_latent_column(self, bad):
